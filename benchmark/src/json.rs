@@ -1,0 +1,318 @@
+//! A minimal JSON value: enough to print results, read them back in
+//! `run`/`repeat`, and check `BENCHMARK.json` in the self-tests. The
+//! workspace has no serde (offline build), so this is hand-rolled like the
+//! repo's own report writers.
+
+use std::fmt::Write as _;
+
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    /// Insertion-ordered, so printed files keep the order they were built in.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// One line, no spaces after separators.
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None, 0);
+        out
+    }
+
+    /// Two-space indented, for files meant to be read and diffed.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(2), 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+        let newline = |out: &mut String, depth: usize| {
+            if let Some(step) = indent {
+                out.push('\n');
+                out.extend(std::iter::repeat_n(' ', step * depth));
+            }
+        };
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // Rust's float Display is the shortest round-tripping decimal and
+            // never uses an exponent, so it is valid JSON as is.
+            Json::Num(n) if n.is_finite() => write!(out, "{n}").expect("write to String"),
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    item.write(out, indent, depth + 1);
+                }
+                if !items.is_empty() {
+                    newline(out, depth);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    write_str(out, k);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    v.write(out, indent, depth + 1);
+                }
+                if !pairs.is_empty() {
+                    newline(out, depth);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing characters at byte {}", p.pos));
+        }
+        Ok(v)
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect("write to String"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\n' | b'\t' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.bytes.get(self.pos) == Some(&b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+        }
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.bytes.get(self.pos) {
+            None => Err("unexpected end of input".into()),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'[') => {
+                self.pos += 1;
+                let mut items = Vec::new();
+                self.skip_ws();
+                if self.bytes.get(self.pos) == Some(&b']') {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                loop {
+                    items.push(self.value()?);
+                    self.skip_ws();
+                    if self.bytes.get(self.pos) == Some(&b',') {
+                        self.pos += 1;
+                    } else {
+                        self.expect(b']')?;
+                        return Ok(Json::Arr(items));
+                    }
+                }
+            }
+            Some(b'{') => {
+                self.pos += 1;
+                let mut pairs = Vec::new();
+                self.skip_ws();
+                if self.bytes.get(self.pos) == Some(&b'}') {
+                    self.pos += 1;
+                    return Ok(Json::Obj(pairs));
+                }
+                loop {
+                    self.skip_ws();
+                    let k = self.string()?;
+                    self.skip_ws();
+                    self.expect(b':')?;
+                    pairs.push((k, self.value()?));
+                    self.skip_ws();
+                    if self.bytes.get(self.pos) == Some(&b',') {
+                        self.pos += 1;
+                    } else {
+                        self.expect(b'}')?;
+                        return Ok(Json::Obj(pairs));
+                    }
+                }
+            }
+            Some(_) => {
+                let start = self.pos;
+                while matches!(
+                    self.bytes.get(self.pos),
+                    Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+                ) {
+                    self.pos += 1;
+                }
+                std::str::from_utf8(&self.bytes[start..self.pos])
+                    .ok()
+                    .and_then(|s| s.parse::<f64>().ok())
+                    .map(Json::Num)
+                    .ok_or_else(|| format!("bad number at byte {start}"))
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = Vec::new();
+        loop {
+            match self.bytes.get(self.pos) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return String::from_utf8(out).map_err(|e| e.to_string());
+                }
+                Some(b'\\') => {
+                    let esc = *self.bytes.get(self.pos + 1).ok_or("dangling escape")?;
+                    self.pos += 2;
+                    match esc {
+                        b'n' => out.push(b'\n'),
+                        b't' => out.push(b'\t'),
+                        b'r' => out.push(b'\r'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or("bad \\u escape")?;
+                            self.pos += 4;
+                            out.extend(hex.to_string().as_bytes());
+                        }
+                        other => out.push(other), // \" \\ \/
+                    }
+                }
+                Some(&b) => {
+                    out.push(b);
+                    self.pos += 1;
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn round_trips_nested_values() {
+        let v = Json::obj([
+            ("a", Json::Num(1.25)),
+            (
+                "b",
+                Json::Arr(vec![Json::Null, Json::Bool(true), Json::str("x\"y\n")]),
+            ),
+            ("c", Json::obj([("n", Json::Num(1000.0))])),
+            ("empty", Json::Arr(vec![])),
+        ]);
+        assert_eq!(Json::parse(&v.compact()).unwrap(), v);
+        assert_eq!(Json::parse(&v.pretty()).unwrap(), v);
+        assert!(
+            v.compact().contains("\"n\":1000}"),
+            "whole numbers print without a fraction"
+        );
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        assert!(Json::parse("{\"a\":1} x").is_err());
+        assert!(Json::parse("{\"a\"").is_err());
+        assert!(Json::parse("[1,").is_err());
+    }
+}
