@@ -17,6 +17,13 @@
 //! `T'` partitions, the filtered `L'` blocks, and (via the [`BloomCache`])
 //! an already-serialized `BF_DB`.
 //!
+//! There is no second copy of any algorithm here. Each algorithm has one
+//! step list that takes its first-phase data from an `algorithms::Input`:
+//! a cold scan, or the `PrescanData` parked at the observation point. The
+//! prescan itself is built from the same first-phase helpers
+//! (`first_phase`, `LSource`), and both continuing and replanning are
+//! `dispatch` with the parked input.
+//!
 //! With `replan_threshold = None` (the default) the controller is inert:
 //! [`run_adaptive`] delegates straight to [`run`] and every run is
 //! byte-identical to the pre-adaptive system.
@@ -33,26 +40,15 @@
 
 use crate::advisor::{cost_of, estimated_costs, QueryEstimates};
 use crate::algorithms::{
-    add_final_aggregation_steps, db_build_and_multicast_bloom, db_route_to_jen, db_scan_step,
-    db_tasks, dispatch, finish_run, jen_probe_aggregate, jen_recv_build, jen_shuffle_share,
-    jen_take_bloom, jen_tasks, prepare_run, run, t_prime_schema, take_result, DbTask, Driver,
-    JenTask, JoinAlgorithm, TaskSet,
+    dispatch, finish_run, first_phase, prepare_run, run, Driver, Input, JoinAlgorithm,
 };
 use crate::query::HybridQuery;
-use crate::skew::SaltRouter;
 use crate::stats::RunOutput;
-use crate::system::{HybridSystem, ZigzagReaccess};
-use hybrid_bloom::{filter_batch, BloomFilter};
+use crate::system::HybridSystem;
 use hybrid_common::batch::Batch;
 use hybrid_common::error::{HybridError, Result};
 use hybrid_common::hash::agreed_shuffle_partition;
-use hybrid_common::ids::DbWorkerId;
-use hybrid_common::ops::{HashAggregator, HashJoiner};
 use hybrid_common::trace::Stage;
-use hybrid_edw::DbJoinSpec;
-use hybrid_jen::pipeline::scan_blocks_batched;
-use hybrid_jen::ScanSpec;
-use hybrid_net::{Endpoint, StreamTag};
 use std::collections::HashSet;
 
 /// How decisively the corrected cost model must favor a different strategy
@@ -86,8 +82,9 @@ pub struct ReplanController {
 }
 
 /// Everything the first phase materialized, parked across the observation
-/// point. A continued plan resumes from this state; a replanned one reuses
-/// it under the new strategy — neither re-reads a table.
+/// point. A continued plan resumes from this state and a replanned one
+/// reuses it under the new strategy, both as [`Input::Parked`] — neither
+/// re-reads a table.
 pub(crate) struct PrescanData {
     /// Per-DB-worker `T'` partitions (scanned, filtered, projected).
     pub t_parts: Vec<Batch>,
@@ -313,12 +310,12 @@ fn execute_adaptive(
     controller: &ReplanController,
 ) -> Result<Batch> {
     if cost_of(algorithm, &controller.estimates).is_none() {
-        return dispatch(sys, query, algorithm);
+        return dispatch(sys, query, algorithm, Input::Cold);
     }
     let pre = prescan(sys, query, uses_bf_db(algorithm))?;
     let obs = observe(query, &pre)?;
     match controller.decide(sys, query, algorithm, &obs, &pre) {
-        None => execute_from_prescan(sys, query, algorithm, pre),
+        None => dispatch(sys, query, algorithm, Input::Parked(pre)),
         Some(target) => replan_and_restart(sys, query, target, pre),
     }
 }
@@ -326,53 +323,24 @@ fn execute_adaptive(
 /// Phase 1 of every advisor-priced strategy, run as its own task-set pair:
 /// scan/filter/project `T'` on each DB worker, optionally build and
 /// multicast `BF_DB`, scan/filter `L'` (under the filter, if built) on
-/// each JEN worker. Stops at the phase boundary with all streams fully
-/// drained and no joiner state — a clean cancellation point.
+/// each JEN worker. These are the cold first-phase steps every algorithm
+/// registers ([`first_phase`]), with the `L'` blocks parked instead of
+/// consumed. Stops at the phase boundary with all streams fully drained
+/// and no joiner state — a clean cancellation point.
 pub(crate) fn prescan(
     sys: &HybridSystem,
     query: &HybridQuery,
     use_bloom: bool,
 ) -> Result<PrescanData> {
     let driver = &Driver::from_config(&sys.config);
-    let plan = &sys.coordinator.plan_scan(&query.hdfs_table)?;
-    let scan_spec = &ScanSpec {
-        pred: query.hdfs_pred.clone(),
-        proj: query.hdfs_proj.clone(),
-        bloom_key: use_bloom.then(|| query.hdfs_key_base()),
-    };
-
-    let mut db = TaskSet::new("db", db_tasks(sys, driver)?);
-    let mut jen = TaskSet::new("jen", jen_tasks(sys, driver)?);
-
-    db.step(10, move |w, st| {
-        st.part = Some(db_scan_step(sys, query, driver, w)?);
-        Ok(())
-    });
-    if use_bloom {
-        db.step(12, move |w, st| {
-            if w == 0 {
-                db_build_and_multicast_bloom(sys, query, st)
-            } else {
-                Ok(())
-            }
-        });
-    }
+    let (l_src, db, mut jen) =
+        first_phase(sys, query, driver, Input::Cold, use_bloom.then_some(12))?;
+    let l_src = &l_src;
     jen.step(20, move |w, st| {
-        let bloom = if use_bloom {
-            jen_take_bloom(st, StreamTag::DbBloom)?
-        } else {
-            None
-        };
+        let bloom = l_src.take_bloom(st)?;
         let blocks = {
             let _permit = driver.compute_permit();
-            scan_blocks_batched(
-                &sys.jen_workers[w],
-                &plan.table,
-                &plan.blocks[w],
-                scan_spec,
-                bloom.as_ref(),
-            )?
-            .0
+            l_src.blocks(sys, query, st, w, bloom.as_ref())?
         };
         st.scanned = Some(blocks);
         Ok(())
@@ -475,485 +443,12 @@ fn replan_and_restart(
         .fabric
         .subnamespace(REPLAN_NS_OFFSET + sys.fabric.ns())?;
     let parent = std::mem::replace(&mut sys.fabric, fresh);
-    let result = execute_from_prescan(sys, query, target, pre);
+    let result = dispatch(sys, query, target, Input::Parked(pre));
     let fresh = std::mem::replace(&mut sys.fabric, parent);
     fresh.remove_namespace();
     let rows = result.as_ref().map(|b| b.num_rows() as u64).unwrap_or(0);
     span.done(0, rows);
     result
-}
-
-/// Run the remainder of `target` from the observation point: the prescan's
-/// `T'` partitions and filtered `L'` blocks are injected into the worker
-/// states, so no table is read twice. Used by both the continue path (the
-/// divergence stayed under the threshold) and the restarted plan.
-pub(crate) fn execute_from_prescan(
-    sys: &HybridSystem,
-    query: &HybridQuery,
-    target: JoinAlgorithm,
-    pre: PrescanData,
-) -> Result<Batch> {
-    match target {
-        JoinAlgorithm::Repartition { bloom } => from_prescan_repartition(sys, query, bloom, pre),
-        JoinAlgorithm::Zigzag => from_prescan_zigzag(sys, query, pre),
-        JoinAlgorithm::Broadcast => from_prescan_broadcast(sys, query, pre),
-        JoinAlgorithm::DbSide { bloom } => from_prescan_db_side(sys, query, bloom, pre),
-        JoinAlgorithm::SemiJoin | JoinAlgorithm::PerfJoin => Err(HybridError::exec(
-            "semi-join/PERF are not advisor candidates and never replan",
-        )),
-    }
-}
-
-/// Serialized `BF_DB` for a restarted Bloom-using plan. The cross-query
-/// cache is consulted first — when the abandoned attempt (or any earlier
-/// query) built this filter, the hit reuses its bytes outright. A miss
-/// builds from the already-materialized `T'` partitions: same key set,
-/// no second table access.
-fn restart_bloom_bytes(
-    sys: &HybridSystem,
-    query: &HybridQuery,
-    t_parts: &[Batch],
-) -> Result<Vec<u8>> {
-    if let Some(cache) = &sys.bloom_cache {
-        if let Some(cached) = cache.get(&crate::cache::BloomKey::for_query(query)) {
-            return Ok(cached.as_ref().clone());
-        }
-    }
-    let span = sys.tracer.start("db", Stage::BloomBuild);
-    let mut bf = BloomFilter::new(query.bloom);
-    for part in t_parts {
-        let keys = part.column(query.db_key)?;
-        for row in 0..part.num_rows() {
-            bf.insert(keys.key_at(row)?);
-        }
-    }
-    let bytes = bf.to_bytes();
-    span.done(bytes.len() as u64, 0);
-    Ok(bytes)
-}
-
-/// Multicast pre-serialized `BF_DB` bytes (with EOS) to every JEN worker.
-fn db_multicast_bloom_bytes(sys: &HybridSystem, st: &mut DbTask, bytes: &[u8]) -> Result<()> {
-    for jen in sys.fabric.jen_endpoints() {
-        st.mailbox
-            .send_bloom(jen, StreamTag::DbBloom, bytes.to_vec())?;
-        st.mailbox.send_eos(jen, StreamTag::DbBloom)?;
-    }
-    Ok(())
-}
-
-/// A restarted Bloom-using plan whose prescan ran *without* the filter:
-/// take `BF_DB` off the wire and apply it to the parked scan output —
-/// the work the prescan would have folded into the scan had the original
-/// plan used the filter.
-fn take_bf_and_filter_blocks(
-    sys: &HybridSystem,
-    query: &HybridQuery,
-    st: &mut JenTask,
-    w: usize,
-) -> Result<Vec<Batch>> {
-    let bf = jen_take_bloom(st, StreamTag::DbBloom)?
-        .ok_or_else(|| HybridError::Net("BF_DB never arrived".into()))?;
-    let blocks = st.scanned.take().unwrap_or_default();
-    let span = sys
-        .tracer
-        .start(sys.jen_workers[w].span_label(), Stage::BloomApply);
-    let mut rows = 0u64;
-    let mut out = Vec::with_capacity(blocks.len());
-    for block in &blocks {
-        rows += block.num_rows() as u64;
-        let (kept, _) = filter_batch(block, query.hdfs_key, &bf)?;
-        out.push(kept);
-    }
-    span.done(0, rows);
-    Ok(out)
-}
-
-/// Repartition (±BF) from the observation point (§3.3 steps 2+).
-fn from_prescan_repartition(
-    sys: &HybridSystem,
-    query: &HybridQuery,
-    use_bloom: bool,
-    pre: PrescanData,
-) -> Result<Batch> {
-    let driver = &Driver::from_config(&sys.config);
-    let plan = &sys.coordinator.plan_scan(&query.hdfs_table)?;
-    let l_schema = &plan.table.schema.project(&query.hdfs_proj)?;
-    let t_schema = &t_prime_schema(sys, query)?;
-    let salt = &SaltRouter::detect(sys, query)?;
-    // The filter is only (re)built and shipped when the prescan did not
-    // already apply it; a bloomed prescan's blocks are already reduced.
-    let need_bf = use_bloom && !pre.bloomed;
-    let bf_bytes = &if need_bf {
-        Some(restart_bloom_bytes(sys, query, &pre.t_parts)?)
-    } else {
-        None
-    };
-
-    let PrescanData {
-        t_parts, l_blocks, ..
-    } = pre;
-    let mut db_states = db_tasks(sys, driver)?;
-    for (st, part) in db_states.iter_mut().zip(t_parts) {
-        st.part = Some(part);
-    }
-    let mut jen_states = jen_tasks(sys, driver)?;
-    for (st, blocks) in jen_states.iter_mut().zip(l_blocks) {
-        st.scanned = Some(blocks);
-    }
-    let mut db = TaskSet::new("db", db_states);
-    let mut jen = TaskSet::new("jen", jen_states);
-
-    if need_bf {
-        db.step(12, move |w, st| {
-            if w == 0 {
-                db_multicast_bloom_bytes(sys, st, bf_bytes.as_ref().expect("built when need_bf"))
-            } else {
-                Ok(())
-            }
-        });
-    }
-    db.step(14, move |w, st| {
-        let part = st.part.take().expect("T' injected from prescan");
-        db_route_to_jen(sys, query, st, w, &part, salt.as_ref())
-    });
-    jen.step(20, move |w, st| {
-        let blocks = if need_bf {
-            take_bf_and_filter_blocks(sys, query, st, w)?
-        } else {
-            st.scanned.take().unwrap_or_default()
-        };
-        jen_shuffle_share(sys, query, st, w, blocks, l_schema, salt.as_ref())
-    });
-    jen.step(30, move |w, st| {
-        jen_recv_build(sys, query, driver, st, w, l_schema)
-    });
-    jen.step(32, move |w, st| {
-        jen_probe_aggregate(sys, query, driver, st, w, t_schema)
-    });
-    add_final_aggregation_steps(sys, query, &mut jen, &mut db, 40)?;
-
-    let (db_states, _jen_states) = driver.run_pair(db, jen)?;
-    take_result(db_states)
-}
-
-/// Zigzag from the observation point (§3.4 steps 3b+): `BF_H` still flows
-/// back to the database and `T''` forward, exactly as in the cold plan.
-fn from_prescan_zigzag(sys: &HybridSystem, query: &HybridQuery, pre: PrescanData) -> Result<Batch> {
-    let driver = &Driver::from_config(&sys.config);
-    let num_jen = sys.config.jen_workers;
-    let plan = &sys.coordinator.plan_scan(&query.hdfs_table)?;
-    let designated = sys.coordinator.designated_worker()?;
-    let l_schema = &plan.table.schema.project(&query.hdfs_proj)?;
-    let t_schema = &t_prime_schema(sys, query)?;
-    let salt = &SaltRouter::detect(sys, query)?;
-    let need_bf = !pre.bloomed;
-    let bf_bytes = &if need_bf {
-        Some(restart_bloom_bytes(sys, query, &pre.t_parts)?)
-    } else {
-        None
-    };
-
-    let PrescanData {
-        t_parts, l_blocks, ..
-    } = pre;
-    let mut db_states = db_tasks(sys, driver)?;
-    for (st, part) in db_states.iter_mut().zip(t_parts) {
-        st.part = Some(part);
-    }
-    let mut jen_states = jen_tasks(sys, driver)?;
-    for (st, blocks) in jen_states.iter_mut().zip(l_blocks) {
-        st.scanned = Some(blocks);
-    }
-    let mut db = TaskSet::new("db", db_states);
-    let mut jen = TaskSet::new("jen", jen_states);
-
-    if need_bf {
-        db.step(12, move |w, st| {
-            if w == 0 {
-                db_multicast_bloom_bytes(sys, st, bf_bytes.as_ref().expect("built when need_bf"))
-            } else {
-                Ok(())
-            }
-        });
-    }
-    jen.step(20, move |w, st| {
-        let l_blocks = if need_bf {
-            take_bf_and_filter_blocks(sys, query, st, w)?
-        } else {
-            st.scanned.take().unwrap_or_default()
-        };
-        let worker = &sys.jen_workers[w];
-        let local_bf = {
-            let _permit = driver.compute_permit();
-            worker.build_bloom_from_blocks(
-                &l_blocks,
-                query.hdfs_key,
-                BloomFilter::new(query.bloom),
-            )?
-        };
-        if w == designated.index() {
-            st.local_bf = Some(local_bf);
-        } else {
-            let to = Endpoint::Jen(designated);
-            st.mailbox
-                .send_bloom(to, StreamTag::HdfsBloom, local_bf.to_bytes())?;
-            st.mailbox.send_eos(to, StreamTag::HdfsBloom)?;
-        }
-        jen_shuffle_share(sys, query, st, w, l_blocks, l_schema, salt.as_ref())
-    });
-    jen.step(25, move |w, st| {
-        if w != designated.index() {
-            return Ok(());
-        }
-        let mut bf_h = st
-            .local_bf
-            .take()
-            .ok_or_else(|| HybridError::exec("designated worker produced no local BF_H"))?;
-        let received = st.mailbox.take_stream(StreamTag::HdfsBloom, num_jen - 1)?;
-        for bytes in &received.blooms {
-            bf_h.merge(&BloomFilter::from_bytes(bytes)?)?;
-        }
-        let bytes = bf_h.to_bytes();
-        for db_ep in sys.fabric.db_endpoints() {
-            st.mailbox
-                .send_bloom(db_ep, StreamTag::HdfsBloom, bytes.clone())?;
-            st.mailbox.send_eos(db_ep, StreamTag::HdfsBloom)?;
-        }
-        Ok(())
-    });
-    db.step(30, move |w, st| {
-        let got = st.mailbox.take_stream(StreamTag::HdfsBloom, 1)?;
-        let bf = got
-            .blooms
-            .first()
-            .map(|b| BloomFilter::from_bytes(b))
-            .transpose()?
-            .ok_or_else(|| HybridError::Net("BF_H never arrived".into()))?;
-        let materialized = st.part.take().expect("T' injected from prescan");
-        let t_second = {
-            let _permit = driver.compute_permit();
-            let part = match sys.config.zigzag_reaccess {
-                ZigzagReaccess::Materialize => materialized,
-                ZigzagReaccess::IndexReaccess => sys.db.worker(w).scan_filter_project(
-                    &query.db_table,
-                    &query.db_pred,
-                    &query.db_proj,
-                )?,
-            };
-            let apply_span = sys.tracer.start(format!("db-{w}"), Stage::BloomApply);
-            let (t_second, _) = filter_batch(&part, query.db_key, &bf)?;
-            apply_span.done(0, part.num_rows() as u64);
-            t_second
-        };
-        sys.metrics
-            .add("db.bloom.t_rows_after_bfh", t_second.num_rows() as u64);
-        db_route_to_jen(sys, query, st, w, &t_second, salt.as_ref())
-    });
-    jen.step(40, move |w, st| {
-        jen_recv_build(sys, query, driver, st, w, l_schema)
-    });
-    jen.step(42, move |w, st| {
-        jen_probe_aggregate(sys, query, driver, st, w, t_schema)
-    });
-    add_final_aggregation_steps(sys, query, &mut jen, &mut db, 50)?;
-
-    let (db_states, _jen_states) = driver.run_pair(db, jen)?;
-    take_result(db_states)
-}
-
-/// Broadcast from the observation point (§3.2 step 2+). A bloomed
-/// prescan's `L'` blocks only lack rows that could never join `T'`, so
-/// probing them against the full broadcast `T'` is result-identical.
-fn from_prescan_broadcast(
-    sys: &HybridSystem,
-    query: &HybridQuery,
-    pre: PrescanData,
-) -> Result<Batch> {
-    let driver = &Driver::from_config(&sys.config);
-    let num_db = sys.config.db_workers;
-    let plan = &sys.coordinator.plan_scan(&query.hdfs_table)?;
-    let l_schema = &plan.table.schema.project(&query.hdfs_proj)?;
-    let t_schema = &t_prime_schema(sys, query)?;
-
-    let PrescanData {
-        t_parts, l_blocks, ..
-    } = pre;
-    let mut db_states = db_tasks(sys, driver)?;
-    for (st, part) in db_states.iter_mut().zip(t_parts) {
-        st.part = Some(part);
-    }
-    let mut jen_states = jen_tasks(sys, driver)?;
-    for (st, blocks) in jen_states.iter_mut().zip(l_blocks) {
-        st.scanned = Some(blocks);
-    }
-    let mut db = TaskSet::new("db", db_states);
-    let mut jen = TaskSet::new("jen", jen_states);
-
-    db.step(20, move |w, st| {
-        let part = st.part.take().expect("T' injected from prescan");
-        let jen_eps = sys.fabric.jen_endpoints();
-        let span = sys.tracer.start(format!("db-{w}"), Stage::ShuffleSend);
-        for &dst in &jen_eps {
-            st.mailbox.send_data(dst, StreamTag::DbData, &part)?;
-            st.mailbox.send_eos(dst, StreamTag::DbData)?;
-        }
-        span.done(
-            part.serialized_bytes() as u64 * jen_eps.len() as u64,
-            part.num_rows() as u64 * jen_eps.len() as u64,
-        );
-        Ok(())
-    });
-    jen.step(30, move |w, st| {
-        let worker = &sys.jen_workers[w];
-        let label = worker.span_label();
-        let recv_span = sys.tracer.start(label.clone(), Stage::ShuffleRecv);
-        let got = st.mailbox.take_stream(StreamTag::DbData, num_db)?;
-        let recv_rows: u64 = got.batches.iter().map(|b| b.num_rows() as u64).sum();
-        recv_span.done(0, recv_rows);
-
-        let _permit = driver.compute_permit();
-        let build_span = sys.tracer.start(label.clone(), Stage::HashBuild);
-        let mut joiner = HashJoiner::new(t_schema.clone(), query.db_key);
-        for b in got.batches {
-            joiner.build(b)?;
-        }
-        build_span.done(0, recv_rows);
-        let l_share = Batch::concat(l_schema.clone(), &st.scanned.take().unwrap_or_default())?;
-        let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
-        let joined = joiner.probe(&l_share, query.hdfs_key)?;
-        probe_span.done(0, l_share.num_rows() as u64);
-        let joined = match &query.post_predicate {
-            Some(p) => {
-                let mask = p.eval_predicate(&joined)?;
-                joined.filter(&mask)?
-            }
-            None => joined,
-        };
-        let agg_span = sys.tracer.start(label, Stage::Aggregate);
-        let groups = query.group_expr.eval_i64(&joined)?;
-        let mut agg = HashAggregator::new(query.aggs.clone());
-        agg.update(&groups, &joined)?;
-        st.partial = Some(agg.finish());
-        agg_span.done(0, joined.num_rows() as u64);
-        Ok(())
-    });
-    add_final_aggregation_steps(sys, query, &mut jen, &mut db, 40)?;
-
-    let (db_states, _jen_states) = driver.run_pair(db, jen)?;
-    take_result(db_states)
-}
-
-/// DB-side (±BF) from the observation point (§3.1 step 3+): the parked
-/// `L'` blocks ship to their group's DB worker and the database's own
-/// optimizer finishes the join.
-fn from_prescan_db_side(
-    sys: &HybridSystem,
-    query: &HybridQuery,
-    use_bloom: bool,
-    pre: PrescanData,
-) -> Result<Batch> {
-    let driver = &Driver::from_config(&sys.config);
-    let num_db = sys.config.db_workers;
-    let num_jen = sys.config.jen_workers;
-
-    let groups = sys.coordinator.group_workers_for_db(num_db);
-    let mut db_of_jen: Vec<Option<usize>> = vec![None; num_jen];
-    for (db_idx, group) in groups.iter().enumerate() {
-        for wid in group {
-            db_of_jen[wid.index()] = Some(db_idx);
-        }
-    }
-    let expected: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-    let db_of_jen = &db_of_jen;
-    let expected = &expected;
-
-    let plan = &sys.coordinator.plan_scan(&query.hdfs_table)?;
-    let hdfs_out_schema = &plan.table.schema.project(&query.hdfs_proj)?;
-    let need_bf = use_bloom && !pre.bloomed;
-    let bf_bytes = &if need_bf {
-        Some(restart_bloom_bytes(sys, query, &pre.t_parts)?)
-    } else {
-        None
-    };
-
-    let PrescanData {
-        t_parts, l_blocks, ..
-    } = pre;
-    let mut db_states = db_tasks(sys, driver)?;
-    for (st, part) in db_states.iter_mut().zip(t_parts) {
-        st.part = Some(part);
-    }
-    let mut jen_states = jen_tasks(sys, driver)?;
-    for (st, blocks) in jen_states.iter_mut().zip(l_blocks) {
-        st.scanned = Some(blocks);
-    }
-    let mut db = TaskSet::new("db", db_states);
-    let mut jen = TaskSet::new("jen", jen_states);
-
-    if need_bf {
-        db.step(15, move |w, st| {
-            if w == 0 {
-                db_multicast_bloom_bytes(sys, st, bf_bytes.as_ref().expect("built when need_bf"))
-            } else {
-                Ok(())
-            }
-        });
-    }
-    jen.step(20, move |w, st| {
-        let Some(db_idx) = db_of_jen[w] else {
-            return Ok(());
-        };
-        let blocks = if need_bf {
-            take_bf_and_filter_blocks(sys, query, st, w)?
-        } else {
-            st.scanned.take().unwrap_or_default()
-        };
-        let batch = Batch::concat(hdfs_out_schema.clone(), &blocks)?;
-        let dst = Endpoint::Db(DbWorkerId(db_idx));
-        let span = sys
-            .tracer
-            .start(sys.jen_workers[w].span_label(), Stage::ShuffleSend);
-        st.mailbox.send_data(dst, StreamTag::HdfsData, &batch)?;
-        st.mailbox.send_eos(dst, StreamTag::HdfsData)?;
-        span.done(batch.serialized_bytes() as u64, batch.num_rows() as u64);
-        Ok(())
-    });
-    db.step(30, move |w, st| {
-        let n = expected.get(w).copied().unwrap_or(0);
-        st.landed = Some(if n == 0 {
-            Batch::empty(hdfs_out_schema.clone())
-        } else {
-            let span = sys.tracer.start(format!("db-{w}"), Stage::ShuffleRecv);
-            let got = st.mailbox.take_stream(StreamTag::HdfsData, n)?;
-            let landed = Batch::concat(hdfs_out_schema.clone(), &got.batches)?;
-            span.done(landed.serialized_bytes() as u64, landed.num_rows() as u64);
-            landed
-        });
-        Ok(())
-    });
-
-    let (mut db_states, _jen_states) = driver.run_pair(db, jen)?;
-
-    let mut parts: Vec<Batch> = Vec::with_capacity(num_db);
-    let mut landed: Vec<Batch> = Vec::with_capacity(num_db);
-    for st in &mut db_states {
-        parts.push(st.part.take().expect("T' injected from prescan"));
-        landed.push(st.landed.take().expect("HDFS data landed in step 30"));
-    }
-    let spec = DbJoinSpec {
-        left_key: query.db_key,
-        right_key: query.hdfs_key,
-        post_predicate: query.post_predicate.clone(),
-        group_expr: query.group_expr.clone(),
-        aggs: query.aggs.clone(),
-    };
-    let join_span = sys.tracer.start("db", Stage::Probe);
-    let (result, choice) = sys.db.join_and_aggregate(&parts, &landed, &spec)?;
-    join_span.done(0, result.num_rows() as u64);
-    sys.metrics
-        .incr(&format!("db.join.plan.{choice:?}").to_lowercase());
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -1318,7 +813,7 @@ mod tests {
                 let mut sys = system(80, None);
                 prepare_run(&mut sys, &query).unwrap();
                 let pre = prescan(&sys, &query, bloomed).unwrap();
-                let result = execute_from_prescan(&sys, &query, target, pre).unwrap();
+                let result = dispatch(&mut sys, &query, target, Input::Parked(pre)).unwrap();
                 assert_eq!(
                     result, expected,
                     "target {target} from a bloomed={bloomed} prescan diverged"

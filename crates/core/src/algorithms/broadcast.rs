@@ -10,8 +10,7 @@
 //! the Fig. 10 harness reproduces that crossover.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_scan_step, db_tasks, jen_tasks, t_prime_schema, take_result,
-    Driver, TaskSet,
+    add_final_aggregation_steps, first_phase, t_prime_schema, take_result, Driver, Input,
 };
 use crate::query::HybridQuery;
 use crate::system::HybridSystem;
@@ -19,36 +18,21 @@ use hybrid_common::batch::Batch;
 use hybrid_common::error::Result;
 use hybrid_common::ops::{HashAggregator, HashJoiner};
 use hybrid_common::trace::Stage;
-use hybrid_jen::pipeline::scan_blocks_pipelined;
-use hybrid_jen::ScanSpec;
 use hybrid_net::StreamTag;
 
-pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Batch> {
-    let sys = &*sys;
+pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> Result<Batch> {
     let driver = &Driver::from_config(&sys.config);
     let num_db = sys.config.db_workers;
-
-    let plan = &sys.coordinator.plan_scan(&query.hdfs_table)?;
-    let scan_spec = &ScanSpec {
-        pred: query.hdfs_pred.clone(),
-        proj: query.hdfs_proj.clone(),
-        bloom_key: None,
-    };
     let t_schema = &t_prime_schema(sys, query)?;
 
-    let mut db = TaskSet::new("db", db_tasks(sys, driver)?);
-    let mut jen = TaskSet::new("jen", jen_tasks(sys, driver)?);
-
     // Step 1: local predicates + projection on every DB worker.
-    db.step(10, move |w, st| {
-        st.part = Some(db_scan_step(sys, query, driver, w)?);
-        Ok(())
-    });
+    let (l_src, mut db, mut jen) = first_phase(sys, query, driver, input, None)?;
+    let l_src = &l_src;
 
     // Step 2: every DB worker broadcasts its filtered partition to every
     // JEN worker (the paper's chosen "first transfer pattern", §4.3).
     db.step(20, move |w, st| {
-        let part = st.part.take().expect("T' scanned in step 10");
+        let part = st.part.take().expect("T' scanned in step 10 or parked");
         let jen_eps = sys.fabric.jen_endpoints();
         let span = sys.tracer.start(format!("db-{w}"), Stage::ShuffleSend);
         for &dst in &jen_eps {
@@ -63,7 +47,8 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
     });
 
     // Step 3: each JEN worker assembles T', scans its share of L, joins
-    // locally, and computes a partial aggregate.
+    // locally, and computes a partial aggregate. A parked share that the
+    // prescan reduced by BF_DB only lacks rows that could never join T'.
     jen.step(30, move |w, st| {
         let worker = &sys.jen_workers[w];
         let label = worker.span_label();
@@ -81,8 +66,10 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
             joiner.build(b)?;
         }
         build_span.done(0, recv_rows);
-        let (l_share, _) =
-            scan_blocks_pipelined(worker, &plan.table, &plan.blocks[w], scan_spec, None)?;
+        let l_share = Batch::concat(
+            l_src.schema.clone(),
+            &l_src.blocks(sys, query, st, w, None)?,
+        )?;
         let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
         let joined = joiner.probe(&l_share, query.hdfs_key)?;
         probe_span.done(0, l_share.num_rows() as u64);

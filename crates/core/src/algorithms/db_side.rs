@@ -7,10 +7,7 @@
 //! workers are divided into one group per DB worker (Fig. 5) so ingestion
 //! is parallel on both ends.
 
-use crate::algorithms::{
-    db_build_and_multicast_bloom, db_scan_step, db_tasks, jen_take_bloom, jen_tasks, Driver,
-    TaskSet,
-};
+use crate::algorithms::{first_phase, Driver, Input};
 use crate::query::HybridQuery;
 use crate::system::HybridSystem;
 use hybrid_common::batch::Batch;
@@ -18,16 +15,14 @@ use hybrid_common::error::Result;
 use hybrid_common::ids::DbWorkerId;
 use hybrid_common::trace::Stage;
 use hybrid_edw::DbJoinSpec;
-use hybrid_jen::pipeline::scan_blocks_pipelined;
-use hybrid_jen::ScanSpec;
 use hybrid_net::{Endpoint, StreamTag};
 
 pub(crate) fn execute(
-    sys: &mut HybridSystem,
+    sys: &HybridSystem,
     query: &HybridQuery,
     use_bloom: bool,
+    input: Input,
 ) -> Result<Batch> {
-    let sys = &*sys;
     let driver = &Driver::from_config(&sys.config);
     let num_db = sys.config.db_workers;
     let num_jen = sys.config.jen_workers;
@@ -43,33 +38,10 @@ pub(crate) fn execute(
     }
     let expected: Vec<usize> = groups.iter().map(|g| g.len()).collect();
 
-    let plan = &sys.coordinator.plan_scan(&query.hdfs_table)?;
-    let scan_spec = &ScanSpec {
-        pred: query.hdfs_pred.clone(),
-        proj: query.hdfs_proj.clone(),
-        bloom_key: use_bloom.then(|| query.hdfs_key_base()),
-    };
-    let hdfs_out_schema = &plan.table.schema.project(&query.hdfs_proj)?;
-
-    let mut db = TaskSet::new("db", db_tasks(sys, driver)?);
-    let mut jen = TaskSet::new("jen", jen_tasks(sys, driver)?);
-
-    // Step 1: local predicates + projection on every DB worker.
-    db.step(10, move |w, st| {
-        st.part = Some(db_scan_step(sys, query, driver, w)?);
-        Ok(())
-    });
-
-    // Step 2: global BF_DB, multicast to the JEN workers.
-    if use_bloom {
-        db.step(15, move |w, st| {
-            if w == 0 {
-                db_build_and_multicast_bloom(sys, query, st)
-            } else {
-                Ok(())
-            }
-        });
-    }
+    // Steps 1–2: local predicates + projection on every DB worker, then the
+    // global BF_DB, multicast to the JEN workers.
+    let (l_src, mut db, mut jen) = first_phase(sys, query, driver, input, use_bloom.then_some(15))?;
+    let (l_src, hdfs_out_schema) = (&l_src, &l_src.schema);
 
     // Step 3: JEN scans, filters, and sends to its group's DB worker.
     jen.step(20, move |w, st| {
@@ -77,22 +49,12 @@ pub(crate) fn execute(
             // not in any group (dead or unassigned) — takes no part
             return Ok(());
         };
-        let bloom = if use_bloom {
-            jen_take_bloom(st, StreamTag::DbBloom)?
-        } else {
-            None
-        };
+        let bloom = l_src.take_bloom(st)?;
         let worker = &sys.jen_workers[w];
         let batch = {
             let _permit = driver.compute_permit();
-            scan_blocks_pipelined(
-                worker,
-                &plan.table,
-                &plan.blocks[w],
-                scan_spec,
-                bloom.as_ref(),
-            )?
-            .0
+            let blocks = l_src.blocks(sys, query, st, w, bloom.as_ref())?;
+            Batch::concat(hdfs_out_schema.clone(), &blocks)?
         };
         let dst = Endpoint::Db(DbWorkerId(db_idx));
         let span = sys.tracer.start(worker.span_label(), Stage::ShuffleSend);
@@ -124,7 +86,7 @@ pub(crate) fn execute(
     let mut parts: Vec<Batch> = Vec::with_capacity(num_db);
     let mut landed: Vec<Batch> = Vec::with_capacity(num_db);
     for st in &mut db_states {
-        parts.push(st.part.take().expect("T' scanned in step 10"));
+        parts.push(st.part.take().expect("T' scanned in step 10 or parked"));
         landed.push(st.landed.take().expect("HDFS data landed in step 30"));
     }
     let spec = DbJoinSpec {

@@ -16,11 +16,12 @@ pub mod zigzag;
 
 pub use driver::{CancelToken, Driver, TaskSet};
 
+use crate::adapt::PrescanData;
 use crate::query::HybridQuery;
 use crate::skew::{SaltCursors, SaltRouter};
 use crate::stats::{JoinSummary, RunOutput};
 use crate::system::HybridSystem;
-use hybrid_bloom::BloomFilter;
+use hybrid_bloom::{filter_batch, BloomFilter};
 use hybrid_common::batch::{Batch, BatchBuilder, SelectionVector};
 use hybrid_common::error::{HybridError, Result};
 use hybrid_common::hash::agreed_shuffle_partition;
@@ -28,7 +29,9 @@ use hybrid_common::ids::{DbWorkerId, JenWorkerId};
 use hybrid_common::ops::{partition_by_key, partition_sel, HashAggregator};
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
-use hybrid_jen::LocalJoiner;
+use hybrid_jen::coordinator::ScanPlan;
+use hybrid_jen::pipeline::scan_blocks_batched;
+use hybrid_jen::{LocalJoiner, ScanSpec};
 use hybrid_net::{Delivery, Endpoint, Fabric, Message, SendAttempt, StreamTag};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -96,7 +99,7 @@ pub fn run(
     algorithm: JoinAlgorithm,
 ) -> Result<RunOutput> {
     prepare_run(system, query)?;
-    let result = dispatch(system, query, algorithm)?;
+    let result = dispatch(system, query, algorithm, Input::Cold)?;
     Ok(finish_run(system, result))
 }
 
@@ -118,20 +121,26 @@ pub(crate) fn prepare_run(system: &mut HybridSystem, query: &HybridQuery) -> Res
     Ok(())
 }
 
-/// Execute one strategy start to finish (no metric/tracer reset — callers
-/// go through [`prepare_run`] first).
+/// Execute one strategy from `input` to the final result (no metric/tracer
+/// reset — callers go through [`prepare_run`] first).
 pub(crate) fn dispatch(
     system: &mut HybridSystem,
     query: &HybridQuery,
     algorithm: JoinAlgorithm,
+    input: Input,
 ) -> Result<Batch> {
-    match algorithm {
-        JoinAlgorithm::DbSide { bloom } => db_side::execute(system, query, bloom),
-        JoinAlgorithm::Broadcast => broadcast::execute(system, query),
-        JoinAlgorithm::Repartition { bloom } => repartition::execute(system, query, bloom),
-        JoinAlgorithm::Zigzag => zigzag::execute(system, query),
-        JoinAlgorithm::SemiJoin => semijoin::execute(system, query),
-        JoinAlgorithm::PerfJoin => perf::execute(system, query),
+    match (algorithm, input) {
+        (JoinAlgorithm::DbSide { bloom }, input) => db_side::execute(system, query, bloom, input),
+        (JoinAlgorithm::Broadcast, input) => broadcast::execute(system, query, input),
+        (JoinAlgorithm::Repartition { bloom }, input) => {
+            repartition::execute(system, query, bloom, input)
+        }
+        (JoinAlgorithm::Zigzag, input) => zigzag::execute(system, query, input),
+        (JoinAlgorithm::SemiJoin, Input::Cold) => semijoin::execute(system, query),
+        (JoinAlgorithm::PerfJoin, Input::Cold) => perf::execute(system, query),
+        (JoinAlgorithm::SemiJoin | JoinAlgorithm::PerfJoin, Input::Parked(_)) => Err(
+            HybridError::exec("semi-join/PERF are not advisor candidates and never replan"),
+        ),
     }
 }
 
@@ -452,9 +461,9 @@ pub(crate) struct JenTask {
     /// A locally built Bloom filter awaiting the global merge (zigzag BF_H).
     pub local_bf: Option<BloomFilter>,
     /// This worker's filtered scan output, parked across an adaptive
-    /// observation point ([`crate::adapt`]): the prescan phase stores the
-    /// per-block batches here so a continued — or replanned — plan never
-    /// re-reads `L`.
+    /// observation point ([`crate::adapt`]): the prescan stores the
+    /// per-block batches here and a resumed plan takes them through
+    /// [`LSource::blocks`] instead of re-reading `L`.
     pub scanned: Option<Vec<Batch>>,
 }
 
@@ -534,21 +543,24 @@ pub(crate) fn db_scan_step(
     Ok(part)
 }
 
-/// DB worker 0 builds the global `BF_DB` and multicasts it (with EOS) to
-/// every JEN worker. The per-partition filters and their merge are metered
-/// inside `build_global_bloom` exactly as before.
+/// Serialized global `BF_DB`, built by the database. The per-partition
+/// filters and their merge are metered inside `build_global_bloom`.
 ///
 /// When the system has a cross-query Bloom cache, the serialized filter is
 /// looked up there first — a hit skips the per-partition build entirely
-/// (the cached bytes are exactly what a cold build would multicast) and
-/// the multicast proceeds as usual on this query's own fabric namespace.
-pub(crate) fn db_build_and_multicast_bloom(
-    sys: &HybridSystem,
-    query: &HybridQuery,
-    st: &mut DbTask,
-) -> Result<()> {
+/// (the cached bytes are exactly what a cold build would multicast).
+fn build_bf_db(sys: &HybridSystem, query: &HybridQuery) -> Result<Arc<Vec<u8>>> {
     let bf_span = sys.tracer.start("db", Stage::BloomBuild);
-    let bytes: Arc<Vec<u8>> = match &sys.bloom_cache {
+    let build = || -> Result<Arc<Vec<u8>>> {
+        let bf = sys.db.build_global_bloom(
+            &query.db_table,
+            &query.db_pred,
+            query.db_key_base(),
+            query.bloom,
+        )?;
+        Ok(Arc::new(bf.to_bytes()))
+    };
+    let bytes = match &sys.bloom_cache {
         Some(cache) => {
             let key = crate::cache::BloomKey::for_query(query);
             match cache.get(&key) {
@@ -559,44 +571,208 @@ pub(crate) fn db_build_and_multicast_bloom(
                     // old partitions alive via `Arc`), the insert below is
                     // dropped instead of caching a pre-rewrite filter.
                     let generation = cache.generation(&query.db_table);
-                    let bf = sys.db.build_global_bloom(
-                        &query.db_table,
-                        &query.db_pred,
-                        query.db_key_base(),
-                        query.bloom,
-                    )?;
-                    let fresh = Arc::new(bf.to_bytes());
+                    let fresh = build()?;
                     cache.insert(key, Arc::clone(&fresh), generation);
                     fresh
                 }
             }
         }
-        None => {
-            let bf = sys.db.build_global_bloom(
-                &query.db_table,
-                &query.db_pred,
-                query.db_key_base(),
-                query.bloom,
-            )?;
-            Arc::new(bf.to_bytes())
-        }
+        None => build()?,
     };
     bf_span.done(bytes.len() as u64, 0);
-    for jen in sys.fabric.jen_endpoints() {
-        st.mailbox
-            .send_bloom(jen, StreamTag::DbBloom, bytes.as_ref().clone())?;
-        st.mailbox.send_eos(jen, StreamTag::DbBloom)?;
-    }
-    Ok(())
+    Ok(bytes)
 }
 
-/// Wait for a single Bloom filter on `stream` and deserialize it.
-pub(crate) fn jen_take_bloom(st: &mut JenTask, stream: StreamTag) -> Result<Option<BloomFilter>> {
-    let got = st.mailbox.take_stream(stream, 1)?;
-    got.blooms
-        .first()
-        .map(|b| BloomFilter::from_bytes(b))
-        .transpose()
+/// Serialized `BF_DB` for a run resumed from a prescan that did not apply
+/// it: the Bloom cache's bytes on a hit (the abandoned attempt, or any
+/// earlier query, built this filter), otherwise built from the parked `T'`
+/// partitions — same key set, no second table access.
+fn parked_bf_db(
+    sys: &HybridSystem,
+    query: &HybridQuery,
+    t_parts: &[Batch],
+) -> Result<Arc<Vec<u8>>> {
+    if let Some(cached) = sys
+        .bloom_cache
+        .as_ref()
+        .and_then(|cache| cache.get(&crate::cache::BloomKey::for_query(query)))
+    {
+        return Ok(cached);
+    }
+    let span = sys.tracer.start("db", Stage::BloomBuild);
+    let mut bf = BloomFilter::new(query.bloom);
+    for part in t_parts {
+        let keys = part.column(query.db_key)?;
+        for row in 0..part.num_rows() {
+            bf.insert(keys.key_at(row)?);
+        }
+    }
+    let bytes = bf.to_bytes();
+    span.done(bytes.len() as u64, 0);
+    Ok(Arc::new(bytes))
+}
+
+// ---------------------------------------------------------------------------
+// first-phase inputs: a cold scan or the parked prescan
+// ---------------------------------------------------------------------------
+
+/// Where an advisor-priced algorithm's first phase — `T'` on the database,
+/// `BF_DB`, the filtered `L'` on JEN — takes its data from. Both inputs run
+/// the same step list; only the first phase's steps differ.
+pub(crate) enum Input {
+    /// Scan and filter both tables: the plain [`run`].
+    Cold,
+    /// Resume from the prescan parked at the adaptive observation point
+    /// ([`crate::adapt`]); no table is read a second time.
+    Parked(PrescanData),
+}
+
+/// How each JEN worker obtains its filtered `L'` blocks (see
+/// [`first_phase`]).
+pub(crate) struct LSource {
+    /// `L'`: the HDFS table after projection.
+    pub schema: Schema,
+    plan: ScanPlan,
+    spec: ScanSpec,
+    /// Whether each worker takes `BF_DB` off the wire and applies it.
+    takes_bf: bool,
+    /// Whether the blocks sit in [`JenTask::scanned`], parked by the
+    /// prescan, instead of waiting to be scanned.
+    parked: bool,
+}
+
+impl LSource {
+    /// Take `BF_DB` off the wire when this worker applies it. This blocks on
+    /// the mailbox, so call it before claiming a compute permit.
+    pub(crate) fn take_bloom(&self, st: &mut JenTask) -> Result<Option<BloomFilter>> {
+        if !self.takes_bf {
+            return Ok(None);
+        }
+        let got = st.mailbox.take_stream(StreamTag::DbBloom, 1)?;
+        let bytes = got
+            .blooms
+            .first()
+            .ok_or_else(|| HybridError::Net("BF_DB never arrived".into()))?;
+        Ok(Some(BloomFilter::from_bytes(bytes)?))
+    }
+
+    /// Worker `w`'s `L'` blocks in block order, reduced by `bf` (from
+    /// [`LSource::take_bloom`]) when given. Cold: the batched scan, applying
+    /// `bf` as it reads. Parked: the prescan's blocks, filtered here — the
+    /// work the prescan would have folded into its scan had the original
+    /// plan used the filter. Compute only: callers hold their permit.
+    pub(crate) fn blocks(
+        &self,
+        sys: &HybridSystem,
+        query: &HybridQuery,
+        st: &mut JenTask,
+        w: usize,
+        bf: Option<&BloomFilter>,
+    ) -> Result<Vec<Batch>> {
+        let worker = &sys.jen_workers[w];
+        if !self.parked {
+            let (blocks, _) = scan_blocks_batched(
+                worker,
+                &self.plan.table,
+                &self.plan.blocks[w],
+                &self.spec,
+                bf,
+            )?;
+            return Ok(blocks);
+        }
+        let blocks = st.scanned.take().unwrap_or_default();
+        let Some(bf) = bf else {
+            return Ok(blocks);
+        };
+        let span = sys.tracer.start(worker.span_label(), Stage::BloomApply);
+        let rows = blocks.iter().map(|b| b.num_rows() as u64).sum();
+        let kept = blocks
+            .iter()
+            .map(|b| Ok(filter_batch(b, query.hdfs_key, bf)?.0))
+            .collect::<Result<Vec<_>>>()?;
+        span.done(0, rows);
+        Ok(kept)
+    }
+}
+
+/// Create a run's two task sets with its first phase wired in; `bf_seq` is
+/// the sequence number of the plan's `BF_DB` step (`None` for plans that
+/// never ship the filter).
+///
+/// Cold: step 10 scans `T'` on every DB worker, and step `bf_seq` builds
+/// `BF_DB` on DB worker 0 and multicasts it. Parked: the prescan's `T'`
+/// partitions and `L'` blocks are injected into the worker states, and step
+/// `bf_seq` multicasts `BF_DB` only when the prescan did not already apply
+/// it. The returned [`LSource`] tells every JEN worker where its `L'` comes
+/// from; the algorithm registers the rest of its step list on the sets.
+pub(crate) fn first_phase<'env>(
+    sys: &'env HybridSystem,
+    query: &'env HybridQuery,
+    driver: &'env Driver,
+    input: Input,
+    bf_seq: Option<u32>,
+) -> Result<(LSource, TaskSet<'env, DbTask>, TaskSet<'env, JenTask>)> {
+    let plan = sys.coordinator.plan_scan(&query.hdfs_table)?;
+    let schema = plan.table.schema.project(&query.hdfs_proj)?;
+    let spec = ScanSpec {
+        pred: query.hdfs_pred.clone(),
+        proj: query.hdfs_proj.clone(),
+        bloom_key: bf_seq.map(|_| query.hdfs_key_base()),
+    };
+    let mut db_states = db_tasks(sys, driver)?;
+    let mut jen_states = jen_tasks(sys, driver)?;
+    // `bf_db` is `Some` when the plan registers its `BF_DB` step; the inner
+    // bytes are `None` when that step builds the filter itself (cold).
+    let (parked, bf_db) = match input {
+        Input::Cold => (false, bf_seq.map(|_| None)),
+        Input::Parked(pre) => {
+            let bf_db = match bf_seq {
+                Some(_) if !pre.bloomed => Some(Some(parked_bf_db(sys, query, &pre.t_parts)?)),
+                _ => None,
+            };
+            for (st, part) in db_states.iter_mut().zip(pre.t_parts) {
+                st.part = Some(part);
+            }
+            for (st, blocks) in jen_states.iter_mut().zip(pre.l_blocks) {
+                st.scanned = Some(blocks);
+            }
+            (true, bf_db)
+        }
+    };
+    let takes_bf = bf_db.is_some();
+
+    let mut db = TaskSet::new("db", db_states);
+    if !parked {
+        db.step(10, move |w, st| {
+            st.part = Some(db_scan_step(sys, query, driver, w)?);
+            Ok(())
+        });
+    }
+    if let (Some(seq), Some(bf_db)) = (bf_seq, bf_db) {
+        db.step(seq, move |w, st| {
+            if w != 0 {
+                return Ok(());
+            }
+            let bytes = match &bf_db {
+                Some(parked) => Arc::clone(parked),
+                None => build_bf_db(sys, query)?,
+            };
+            for jen in sys.fabric.jen_endpoints() {
+                st.mailbox
+                    .send_bloom(jen, StreamTag::DbBloom, bytes.to_vec())?;
+                st.mailbox.send_eos(jen, StreamTag::DbBloom)?;
+            }
+            Ok(())
+        });
+    }
+    let l_src = LSource {
+        schema,
+        plan,
+        spec,
+        takes_bf,
+        parked,
+    };
+    Ok((l_src, db, TaskSet::new("jen", jen_states)))
 }
 
 /// Route a DB batch to the owning JEN workers with the agreed hash on

@@ -8,61 +8,35 @@
 //! aggregates partially, and the designated worker returns the final result.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_build_and_multicast_bloom, db_scan_step, db_tasks,
-    jen_probe_aggregate, jen_recv_build, jen_shuffle_share, jen_take_bloom, jen_tasks,
-    t_prime_schema, take_result, Driver, TaskSet,
+    add_final_aggregation_steps, first_phase, jen_probe_aggregate, jen_recv_build,
+    jen_shuffle_share, t_prime_schema, take_result, Driver, Input,
 };
 use crate::query::HybridQuery;
 use crate::skew::SaltRouter;
 use crate::system::HybridSystem;
 use hybrid_common::batch::Batch;
 use hybrid_common::error::Result;
-use hybrid_jen::pipeline::scan_blocks_batched;
-use hybrid_jen::ScanSpec;
-use hybrid_net::StreamTag;
 
 pub(crate) fn execute(
-    sys: &mut HybridSystem,
+    sys: &HybridSystem,
     query: &HybridQuery,
     use_bloom: bool,
+    input: Input,
 ) -> Result<Batch> {
-    let sys = &*sys;
     let driver = &Driver::from_config(&sys.config);
-
-    let plan = &sys.coordinator.plan_scan(&query.hdfs_table)?;
-    let scan_spec = &ScanSpec {
-        pred: query.hdfs_pred.clone(),
-        proj: query.hdfs_proj.clone(),
-        bloom_key: use_bloom.then(|| query.hdfs_key_base()),
-    };
-    let l_schema = &plan.table.schema.project(&query.hdfs_proj)?;
     let t_schema = &t_prime_schema(sys, query)?;
     // Heavy-hitter detection (None unless `salt_buckets` is configured and
     // a hot key clears the threshold) — both sides must agree on it.
     let salt = &SaltRouter::detect(sys, query)?;
 
-    let mut db = TaskSet::new("db", db_tasks(sys, driver)?);
-    let mut jen = TaskSet::new("jen", jen_tasks(sys, driver)?);
-
     // Step 1: T' per DB worker (+ global BF_DB multicast from worker 0).
-    db.step(10, move |w, st| {
-        st.part = Some(db_scan_step(sys, query, driver, w)?);
-        Ok(())
-    });
-    if use_bloom {
-        db.step(12, move |w, st| {
-            if w == 0 {
-                db_build_and_multicast_bloom(sys, query, st)
-            } else {
-                Ok(())
-            }
-        });
-    }
+    let (l_src, mut db, mut jen) = first_phase(sys, query, driver, input, use_bloom.then_some(12))?;
+    let (l_src, l_schema) = (&l_src, &l_src.schema);
 
     // Step 2: DB workers route T' with the agreed hash — data lands on the
     // JEN worker that will join it, no re-shuffle needed (§3.3).
     db.step(14, move |w, st| {
-        let part = st.part.take().expect("T' scanned in step 10");
+        let part = st.part.take().expect("T' scanned in step 10 or parked");
         crate::algorithms::db_route_to_jen(sys, query, st, w, &part, salt.as_ref())
     });
 
@@ -70,21 +44,10 @@ pub(crate) fn execute(
     // filtered HDFS data with the same hash, one block batch at a time —
     // the share is never concatenated. The local partition stays put.
     jen.step(20, move |w, st| {
-        let bloom = if use_bloom {
-            jen_take_bloom(st, StreamTag::DbBloom)?
-        } else {
-            None
-        };
+        let bloom = l_src.take_bloom(st)?;
         let l_blocks = {
             let _permit = driver.compute_permit();
-            scan_blocks_batched(
-                &sys.jen_workers[w],
-                &plan.table,
-                &plan.blocks[w],
-                scan_spec,
-                bloom.as_ref(),
-            )?
-            .0
+            l_src.blocks(sys, query, st, w, bloom.as_ref())?
         };
         jen_shuffle_share(sys, query, st, w, l_blocks, l_schema, salt.as_ref())
     });

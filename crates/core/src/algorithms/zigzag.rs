@@ -19,9 +19,8 @@
 //! predicates on *both* sides on top of both local predicates.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_build_and_multicast_bloom, db_route_to_jen, db_scan_step,
-    db_tasks, jen_probe_aggregate, jen_recv_build, jen_shuffle_share, jen_take_bloom, jen_tasks,
-    t_prime_schema, take_result, Driver, TaskSet,
+    add_final_aggregation_steps, db_route_to_jen, first_phase, jen_probe_aggregate, jen_recv_build,
+    jen_shuffle_share, t_prime_schema, take_result, Driver, Input,
 };
 use crate::query::HybridQuery;
 use crate::skew::SaltRouter;
@@ -30,59 +29,30 @@ use hybrid_bloom::{filter_batch, BloomFilter};
 use hybrid_common::batch::Batch;
 use hybrid_common::error::{HybridError, Result};
 use hybrid_common::trace::Stage;
-use hybrid_jen::pipeline::scan_blocks_batched;
-use hybrid_jen::ScanSpec;
 use hybrid_net::{Endpoint, StreamTag};
 
-pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Batch> {
-    let sys = &*sys;
+pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> Result<Batch> {
     let driver = &Driver::from_config(&sys.config);
     let num_jen = sys.config.jen_workers;
 
-    let plan = &sys.coordinator.plan_scan(&query.hdfs_table)?;
     let designated = sys.coordinator.designated_worker()?;
-    let scan_spec = &ScanSpec {
-        pred: query.hdfs_pred.clone(),
-        proj: query.hdfs_proj.clone(),
-        bloom_key: Some(query.hdfs_key_base()),
-    };
-    let l_schema = &plan.table.schema.project(&query.hdfs_proj)?;
     let t_schema = &t_prime_schema(sys, query)?;
     // Shared hot-key routing for the L' shuffle and the T'' shipment.
     let salt = &SaltRouter::detect(sys, query)?;
 
-    let mut db = TaskSet::new("db", db_tasks(sys, driver)?);
-    let mut jen = TaskSet::new("jen", jen_tasks(sys, driver)?);
-
     // Steps 1–2: T' per DB worker, global BF_DB, multicast to JEN workers.
-    db.step(10, move |w, st| {
-        st.part = Some(db_scan_step(sys, query, driver, w)?);
-        Ok(())
-    });
-    db.step(12, move |w, st| {
-        if w == 0 {
-            db_build_and_multicast_bloom(sys, query, st)
-        } else {
-            Ok(())
-        }
-    });
+    let (l_src, mut db, mut jen) = first_phase(sys, query, driver, input, Some(12))?;
+    let (l_src, l_schema) = (&l_src, &l_src.schema);
 
     // Step 3: scan with BF_DB, build local BF_H, shuffle L' by the agreed
     // hash. 3a/3b/3c run per worker; in parallel mode shuffling genuinely
     // overlaps the other workers' scans.
     jen.step(20, move |w, st| {
-        let bf_db = jen_take_bloom(st, StreamTag::DbBloom)?
-            .ok_or_else(|| HybridError::Net("BF_DB never arrived".into()))?;
+        let bf_db = l_src.take_bloom(st)?;
         let worker = &sys.jen_workers[w];
         let (l_blocks, local_bf) = {
             let _permit = driver.compute_permit();
-            let (l_blocks, _) = scan_blocks_batched(
-                worker,
-                &plan.table,
-                &plan.blocks[w],
-                scan_spec,
-                Some(&bf_db),
-            )?;
+            let l_blocks = l_src.blocks(sys, query, st, w, bf_db.as_ref())?;
             // 3b: local BF_H over the filtered share, block by block (a
             // Bloom filter is a bit-set union, so per-block inserts produce
             // the same filter as one pass over the concatenation)
@@ -141,7 +111,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
             .map(|b| BloomFilter::from_bytes(b))
             .transpose()?
             .ok_or_else(|| HybridError::Net("BF_H never arrived".into()))?;
-        let materialized = st.part.take().expect("T' scanned in step 10");
+        let materialized = st.part.take().expect("T' scanned in step 10 or parked");
         let t_second = {
             let _permit = driver.compute_permit();
             let part = match sys.config.zigzag_reaccess {

@@ -225,4 +225,26 @@ mod tests {
         assert_eq!(out.num_rows(), 0);
         assert_eq!(stats, ScanStats::default());
     }
+
+    /// A worker with no blocks still starts a read thread, which hangs up
+    /// at once while the process side waits in `recv`. A lost hang-up
+    /// wake-up in the channel would block that scan forever.
+    #[test]
+    fn zero_block_scans_never_hang() {
+        let (w, meta, _) = setup(FileFormat::Columnar, 1);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let scans = std::thread::spawn(move || {
+            for _ in 0..2_000 {
+                let (parts, stats) = scan_blocks_batched(&w, &meta, &[], &spec(), None).unwrap();
+                assert!(parts.is_empty());
+                assert_eq!(stats, ScanStats::default());
+            }
+            let _ = done_tx.send(());
+        });
+        let waited = done_rx.recv_timeout(std::time::Duration::from_secs(60));
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = waited {
+            panic!("a zero-block scan hung waiting for its read thread");
+        }
+        scans.join().expect("zero-block scans failed");
+    }
 }

@@ -66,6 +66,44 @@ const MAX_RECURSION: usize = 4;
 
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// One joiner's private spill directory, `hybrid-spill-<pid>-<n>` under
+/// [`std::env::temp_dir`]: created at the joiner's first eviction and
+/// removed, with anything still in it, when the joiner drops. Joiners
+/// running side by side in one process therefore never share a directory.
+struct SpillDir {
+    path: PathBuf,
+    created: bool,
+}
+
+impl SpillDir {
+    fn new() -> SpillDir {
+        let n = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
+        SpillDir {
+            path: std::env::temp_dir().join(format!("hybrid-spill-{}-{n}", std::process::id())),
+            created: false,
+        }
+    }
+
+    /// The directory, created on first use.
+    fn ensure(&mut self) -> Result<&Path> {
+        if !self.created {
+            fs::create_dir_all(&self.path).map_err(|e| {
+                HybridError::Storage(format!("spill dir create {:?}: {e}", self.path))
+            })?;
+            self.created = true;
+        }
+        Ok(&self.path)
+    }
+}
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        if self.created {
+            let _ = fs::remove_dir_all(&self.path);
+        }
+    }
+}
+
 /// Partitioning hash at recursion `depth` (depth 0 = the eviction layer).
 fn depth_seed(depth: usize) -> u64 {
     SPILL_SEED ^ (depth as u64).wrapping_mul(DEPTH_SALT)
@@ -101,12 +139,7 @@ impl SpillSide {
     ) -> Result<SpillSide> {
         let run = SPILL_COUNTER.fetch_add(1, Ordering::Relaxed);
         let files: Vec<PathBuf> = (0..parts)
-            .map(|p| {
-                dir.join(format!(
-                    "hybrid-spill-{}-{run}-{tag}-{p}.col",
-                    std::process::id()
-                ))
-            })
+            .map(|p| dir.join(format!("{run}-{tag}-{p}.col")))
             .collect();
         Ok(SpillSide {
             schema,
@@ -226,7 +259,6 @@ pub struct HybridHashJoiner {
     /// Byte-budget ledger; its cap bounds total resident build bytes.
     budget: Option<WorkerBudget>,
     num_partitions: usize,
-    spill_dir: PathBuf,
     metrics: Metrics,
     parts: Vec<Partition>,
     resident_rows: usize,
@@ -237,6 +269,9 @@ pub struct HybridHashJoiner {
     probe_schema: Option<Schema>,
     probe_key: Option<usize>,
     evictions: u64,
+    /// Declared after the spill runs, so their files are removed before
+    /// the directory is.
+    spill_dir: SpillDir,
 }
 
 impl HybridHashJoiner {
@@ -259,7 +294,6 @@ impl HybridHashJoiner {
             max_rows,
             budget,
             num_partitions,
-            spill_dir: std::env::temp_dir(),
             metrics,
             parts: (0..num_partitions).map(|_| Partition::default()).collect(),
             resident_rows: 0,
@@ -269,6 +303,7 @@ impl HybridHashJoiner {
             probe_schema: None,
             probe_key: None,
             evictions: 0,
+            spill_dir: SpillDir::new(),
         })
     }
 
@@ -342,7 +377,7 @@ impl HybridHashJoiner {
             self.build_spill = Some(SpillSide::create(
                 self.build_schema.clone(),
                 self.build_key,
-                &self.spill_dir,
+                self.spill_dir.ensure()?,
                 "build",
                 self.num_partitions,
                 depth_seed(0),
@@ -384,7 +419,7 @@ impl HybridHashJoiner {
             self.probe_spill = Some(SpillSide::create(
                 schema,
                 key,
-                &self.spill_dir,
+                self.spill_dir.ensure()?,
                 "probe",
                 self.num_partitions,
                 depth_seed(0),
@@ -478,7 +513,7 @@ impl HybridHashJoiner {
         let mut sub_build = SpillSide::create(
             self.build_schema.clone(),
             self.build_key,
-            &self.spill_dir,
+            &self.spill_dir.path,
             &format!("rbuild{depth}"),
             self.num_partitions,
             depth_seed(depth),
@@ -487,7 +522,7 @@ impl HybridHashJoiner {
         let mut sub_probe = SpillSide::create(
             probe_schema,
             probe_key,
-            &self.spill_dir,
+            &self.spill_dir.path,
             &format!("rprobe{depth}"),
             self.num_partitions,
             depth_seed(depth),
@@ -813,19 +848,17 @@ mod tests {
     #[test]
     fn spill_files_cleaned_up() {
         let m = Metrics::new();
-        let dir = std::env::temp_dir();
-        let before = count_spill_files(&dir);
-        {
-            let mut g = row_limited(8, 4, m.clone());
-            for chunk in 0..4 {
-                g.add_build(build_batch(chunk * 10..(chunk + 1) * 10))
-                    .unwrap();
-            }
-            g.add_probe(probe_batch(&[1, 2]), 0).unwrap();
-            assert!(g.is_spilled());
-            let _ = g.finish().unwrap();
+        let mut g = row_limited(8, 4, m.clone());
+        for chunk in 0..4 {
+            g.add_build(build_batch(chunk * 10..(chunk + 1) * 10))
+                .unwrap();
         }
-        assert_eq!(count_spill_files(&dir), before);
+        g.add_probe(probe_batch(&[1, 2]), 0).unwrap();
+        assert!(g.is_spilled());
+        let dir = g.spill_dir.path.clone();
+        assert!(dir.is_dir(), "the first eviction creates the spill dir");
+        let _ = g.finish().unwrap();
+        assert!(!dir.exists(), "finish must remove the spill dir");
         let created = m.get("jen.spill.files_created");
         assert!(created > 0, "spilled join must create partition files");
         assert_eq!(created, m.get("jen.spill.files_removed"));
@@ -837,19 +870,17 @@ mod tests {
     #[test]
     fn abandoned_spill_leaves_no_orphans() {
         let m = Metrics::new();
-        let dir = std::env::temp_dir();
-        let before = count_spill_files(&dir);
-        {
-            let mut g = row_limited(8, 4, m.clone());
-            for chunk in 0..4 {
-                g.add_build(build_batch(chunk * 10..(chunk + 1) * 10))
-                    .unwrap();
-            }
-            g.add_probe(probe_batch(&[1, 2, 3]), 0).unwrap();
-            assert!(g.is_spilled());
-            // dropped without finish(): the kill path
+        let mut g = row_limited(8, 4, m.clone());
+        for chunk in 0..4 {
+            g.add_build(build_batch(chunk * 10..(chunk + 1) * 10))
+                .unwrap();
         }
-        assert_eq!(count_spill_files(&dir), before);
+        g.add_probe(probe_batch(&[1, 2, 3]), 0).unwrap();
+        assert!(g.is_spilled());
+        let dir = g.spill_dir.path.clone();
+        assert!(dir.is_dir(), "the first eviction creates the spill dir");
+        drop(g); // without finish(): the kill path
+        assert!(!dir.exists(), "an abandoned join must remove its spill dir");
         let created = m.get("jen.spill.files_created");
         assert!(created > 0);
         assert_eq!(created, m.get("jen.spill.files_removed"));
@@ -877,18 +908,6 @@ mod tests {
         }
         assert_eq!(pool.used(), 0);
         assert!(root.get("mem.pool_high_water") > 0);
-    }
-
-    fn count_spill_files(dir: &std::path::Path) -> usize {
-        std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                e.file_name()
-                    .to_string_lossy()
-                    .starts_with(&format!("hybrid-spill-{}", std::process::id()))
-            })
-            .count()
     }
 }
 

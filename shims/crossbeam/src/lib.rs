@@ -81,10 +81,14 @@ pub mod channel {
         }
     }
 
+    // Both hang-up notifications are sent under the queue mutex. A peer
+    // checks the count and starts waiting under that mutex, so a notify
+    // outside it could land between the check and the wait and be lost.
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
                 // last sender gone: wake receivers so they observe the hangup
+                let _q = lock(&self.shared.queue);
                 self.shared.not_empty.notify_all();
             }
         }
@@ -93,6 +97,7 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
+                let _q = lock(&self.shared.queue);
                 self.shared.not_full.notify_all();
             }
         }
@@ -317,6 +322,62 @@ pub mod channel {
             tx.try_send(3).unwrap();
             drop(rx);
             assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
+        }
+
+        /// Run `blocked` on its own thread and call `hang_up` the moment
+        /// that thread starts, so the hang-up tends to land between its
+        /// peer-count check and its wait. Returns `blocked`'s value, and
+        /// fails instead of hanging when the wake-up is lost (the thread
+        /// is then left blocked; the test has already failed).
+        fn hang_up_while_blocked<R: Send + 'static>(
+            blocked: impl FnOnce() -> R + Send + 'static,
+            hang_up: impl FnOnce(),
+        ) -> R {
+            let started = Arc::new(AtomicUsize::new(0));
+            let flag = Arc::clone(&started);
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let handle = thread::spawn(move || {
+                flag.store(1, Ordering::SeqCst);
+                let value = blocked();
+                let _ = done_tx.send(());
+                value
+            });
+            // Spin briefly (yielding only if the thread is slow to start,
+            // as on an oversubscribed machine) so the hang-up follows the
+            // start as closely as possible.
+            let spin_until = Instant::now() + Duration::from_micros(200);
+            while started.load(Ordering::SeqCst) == 0 {
+                if Instant::now() < spin_until {
+                    std::hint::spin_loop();
+                } else {
+                    thread::yield_now();
+                }
+            }
+            hang_up();
+            let waited = done_rx.recv_timeout(Duration::from_secs(10));
+            if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = waited {
+                panic!("a blocked peer missed the hang-up wake-up");
+            }
+            handle.join().expect("the blocked thread panicked")
+        }
+
+        #[test]
+        fn last_sender_drop_wakes_a_blocked_receiver() {
+            for _ in 0..10_000 {
+                let (tx, rx) = bounded::<u8>(1);
+                let got = hang_up_while_blocked(move || rx.recv(), move || drop(tx));
+                assert_eq!(got, Err(RecvError));
+            }
+        }
+
+        #[test]
+        fn last_receiver_drop_wakes_a_blocked_sender() {
+            for _ in 0..10_000 {
+                let (tx, rx) = bounded::<u8>(1);
+                tx.send(0).unwrap();
+                let sent = hang_up_while_blocked(move || tx.send(1), move || drop(rx));
+                assert!(sent.is_err());
+            }
         }
 
         #[test]

@@ -16,9 +16,13 @@
 //!   same data keep the controller quiet for every advisor-priced
 //!   algorithm: no replans, no false-positive restarts, bit-identical
 //!   answers.
+//! * **Continuing is resuming.** An armed run that never replans parks at
+//!   the observation point and resumes the same plan: plain-run result and
+//!   metric snapshot, apart from the controller's own `advisor.*` keys.
 
 mod util;
 
+use hybrid_common::metrics::MetricsSnapshot;
 use hybrid_core::reference::run_reference;
 use hybrid_core::{
     run, run_adaptive, sample_stats, HybridQuery, HybridSystem, JoinAlgorithm, QueryEstimates,
@@ -202,5 +206,42 @@ fn well_estimated_workload_never_replans() {
             0,
             "{alg} replanned on honest estimates"
         );
+    }
+}
+
+/// (d) An armed controller that never fires (threshold `1e9`) still
+/// splits the run at the observation point: the prescan parks `T'` and
+/// `L'`, and the same plan resumes from them. Every advisor-priced
+/// algorithm on both formats must return the plain run's result and
+/// snapshot, apart from the `advisor.*` keys the controller meters.
+#[test]
+fn continued_run_matches_plain_execution() {
+    let workload = WorkloadSpec::tiny().generate().unwrap();
+    let query = workload.query();
+    let without_advisor = |s: &MetricsSnapshot| -> MetricsSnapshot {
+        s.iter()
+            .filter(|(k, _)| !k.starts_with("advisor."))
+            .map(|(k, v)| (k.clone(), *v))
+            .collect()
+    };
+
+    for format in [FileFormat::Columnar, FileFormat::Text] {
+        let mut plain_sys = system(&workload, format, None);
+        let mut armed_sys = system(&workload, format, Some(1e9));
+        let est = honest_estimates(&armed_sys, &query);
+        for alg in JoinAlgorithm::paper_variants() {
+            let plain = run(&mut plain_sys, &query, alg).unwrap();
+            let armed = run_adaptive(&mut armed_sys, &query, alg, &est).unwrap();
+            assert_eq!(
+                armed.result, plain.result,
+                "{alg} continued result diverged on {format}"
+            );
+            assert_eq!(
+                without_advisor(&armed.snapshot),
+                without_advisor(&plain.snapshot),
+                "{alg} continued metrics diverged on {format}"
+            );
+            assert_eq!(armed_sys.metrics.get("advisor.replans"), 0);
+        }
     }
 }
