@@ -294,7 +294,8 @@ pub fn run_adaptive(
     let Some(threshold) = sys.config.replan_threshold else {
         return run(sys, query, algorithm);
     };
-    prepare_run(sys, query)?;
+    query.validate()?;
+    prepare_run(sys)?;
     let controller = ReplanController::new(threshold, *estimates);
     let result = execute_adaptive(sys, query, algorithm, &controller)?;
     Ok(finish_run(sys, result))
@@ -342,7 +343,7 @@ pub(crate) fn prescan(
             let _permit = driver.compute_permit();
             l_src.blocks(sys, query, st, w, bloom.as_ref())?
         };
-        st.scanned = Some(blocks);
+        st.blocks = Some(blocks);
         Ok(())
     });
 
@@ -357,7 +358,7 @@ pub(crate) fn prescan(
         .collect::<Result<Vec<_>>>()?;
     let l_blocks = jen_states
         .into_iter()
-        .map(|mut st| st.scanned.take().unwrap_or_default())
+        .map(|mut st| st.blocks.take().unwrap_or_default())
         .collect();
     Ok(PrescanData {
         t_parts,
@@ -811,7 +812,7 @@ mod tests {
         for bloomed in [false, true] {
             for target in JoinAlgorithm::paper_variants() {
                 let mut sys = system(80, None);
-                prepare_run(&mut sys, &query).unwrap();
+                prepare_run(&mut sys).unwrap();
                 let pre = prescan(&sys, &query, bloomed).unwrap();
                 let result = dispatch(&mut sys, &query, target, Input::Parked(pre)).unwrap();
                 assert_eq!(

@@ -10,20 +10,21 @@
 //! the Fig. 10 harness reproduces that crossover.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, first_phase, t_prime_schema, take_result, Driver, Input,
+    add_final_aggregation_steps, db_schema, first_phase, partial_aggregate, run_to_result, Driver,
+    Input,
 };
 use crate::query::HybridQuery;
 use crate::system::HybridSystem;
 use hybrid_common::batch::Batch;
 use hybrid_common::error::Result;
-use hybrid_common::ops::{HashAggregator, HashJoiner};
+use hybrid_common::ops::HashJoiner;
 use hybrid_common::trace::Stage;
 use hybrid_net::StreamTag;
 
 pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> Result<Batch> {
     let driver = &Driver::from_config(&sys.config);
     let num_db = sys.config.db_workers;
-    let t_schema = &t_prime_schema(sys, query)?;
+    let t_schema = &db_schema(sys, &query.db_table, &query.db_proj)?;
 
     // Step 1: local predicates + projection on every DB worker.
     let (l_src, mut db, mut jen) = first_phase(sys, query, driver, input, None)?;
@@ -73,25 +74,19 @@ pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> 
         let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
         let joined = joiner.probe(&l_share, query.hdfs_key)?;
         probe_span.done(0, l_share.num_rows() as u64);
-        let joined = match &query.post_predicate {
-            Some(p) => {
-                let mask = p.eval_predicate(&joined)?;
-                joined.filter(&mask)?
-            }
-            None => joined,
-        };
-        let agg_span = sys.tracer.start(label, Stage::Aggregate);
-        let groups = query.group_expr.eval_i64(&joined)?;
-        let mut agg = HashAggregator::new(query.aggs.clone());
-        agg.update(&groups, &joined)?;
-        st.partial = Some(agg.finish());
-        agg_span.done(0, joined.num_rows() as u64);
+        st.partial = Some(partial_aggregate(
+            sys,
+            label,
+            joined,
+            query.post_predicate.as_ref(),
+            &query.group_expr,
+            query.aggs.clone(),
+        )?);
         Ok(())
     });
 
     // Steps 4–5: final aggregation at the designated worker, result to DB.
-    add_final_aggregation_steps(sys, query, &mut jen, &mut db, 40)?;
+    add_final_aggregation_steps(sys, &query.aggs, &mut jen, &mut db, 40)?;
 
-    let (db_states, _jen_states) = driver.run_pair(db, jen)?;
-    take_result(db_states)
+    run_to_result(driver, db, jen)
 }

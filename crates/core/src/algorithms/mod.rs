@@ -24,9 +24,10 @@ use crate::system::HybridSystem;
 use hybrid_bloom::{filter_batch, BloomFilter};
 use hybrid_common::batch::{Batch, BatchBuilder, SelectionVector};
 use hybrid_common::error::{HybridError, Result};
+use hybrid_common::expr::Expr;
 use hybrid_common::hash::agreed_shuffle_partition;
 use hybrid_common::ids::{DbWorkerId, JenWorkerId};
-use hybrid_common::ops::{partition_by_key, partition_sel, HashAggregator};
+use hybrid_common::ops::{partition_by_key, partition_sel, AggSpec, HashAggregator};
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
 use hybrid_jen::coordinator::ScanPlan;
@@ -98,15 +99,16 @@ pub fn run(
     query: &HybridQuery,
     algorithm: JoinAlgorithm,
 ) -> Result<RunOutput> {
-    prepare_run(system, query)?;
+    query.validate()?;
+    prepare_run(system)?;
     let result = dispatch(system, query, algorithm, Input::Cold)?;
     Ok(finish_run(system, result))
 }
 
-/// The prologue every run shares: validate, claim a memory grant on a
-/// budgeted system, and start from clean metrics, spans, and fabric.
-pub(crate) fn prepare_run(system: &mut HybridSystem, query: &HybridQuery) -> Result<()> {
-    query.validate()?;
+/// The prologue every run shares, binary or star (each entry point has
+/// validated its query): claim a memory grant on a budgeted system, and
+/// start from clean metrics, spans, and fabric.
+pub(crate) fn prepare_run(system: &mut HybridSystem) -> Result<()> {
     // A direct run on a budgeted system claims whatever the pool has left
     // (the query service instead injects an admission-sized share into each
     // session before running). The grant sticks for subsequent runs on this
@@ -460,11 +462,12 @@ pub(crate) struct JenTask {
     pub partial: Option<Batch>,
     /// A locally built Bloom filter awaiting the global merge (zigzag BF_H).
     pub local_bf: Option<BloomFilter>,
-    /// This worker's filtered scan output, parked across an adaptive
-    /// observation point ([`crate::adapt`]): the prescan stores the
-    /// per-block batches here and a resumed plan takes them through
-    /// [`LSource::blocks`] instead of re-reading `L`.
-    pub scanned: Option<Vec<Batch>>,
+    /// Row blocks this worker carries from one step to a later one: the
+    /// filtered `L'` parked across an adaptive observation point
+    /// ([`crate::adapt`]), which a resumed plan takes through
+    /// [`LSource::blocks`] instead of re-reading `L`; or a star plan's
+    /// running intermediate (the fact scan, then each local join's output).
+    pub blocks: Option<Vec<Batch>>,
 }
 
 /// Per-worker state threaded through a DB [`TaskSet`].
@@ -491,7 +494,7 @@ pub(crate) fn jen_tasks(sys: &HybridSystem, driver: &Driver) -> Result<Vec<JenTa
                 joiner: None,
                 partial: None,
                 local_bf: None,
-                scanned: None,
+                blocks: None,
             })
         })
         .collect()
@@ -512,34 +515,41 @@ pub(crate) fn db_tasks(sys: &HybridSystem, driver: &Driver) -> Result<Vec<DbTask
         .collect()
 }
 
-/// The schema of `T'` (the DB table after projection), known before any
-/// worker has scanned — probe steps need it even when zero rows arrive.
-pub(crate) fn t_prime_schema(sys: &HybridSystem, query: &HybridQuery) -> Result<Schema> {
-    sys.db
-        .worker(0)
-        .partition(&query.db_table)?
-        .schema()
-        .project(&query.db_proj)
+/// The schema of a DB table after projection (`T'`, a star dimension),
+/// known before any worker has scanned — probe steps need it even when
+/// zero rows arrive.
+pub(crate) fn db_schema(sys: &HybridSystem, table: &str, proj: &[usize]) -> Result<Schema> {
+    sys.db.worker(0).partition(table)?.schema().project(proj)
 }
 
-/// The DB step every algorithm starts with, per worker: apply local
-/// predicates and projection, producing this worker's slice of `T'`
-/// (Fig. 1–4, step 1).
+/// DB worker `w` applies a table's local predicate and projection, under a
+/// compute permit and a `Scan` span.
+pub(crate) fn db_scan(
+    sys: &HybridSystem,
+    driver: &Driver,
+    w: usize,
+    table: &str,
+    pred: &Expr,
+    proj: &[usize],
+) -> Result<Batch> {
+    let _permit = driver.compute_permit();
+    let span = sys.tracer.start(format!("db-{w}"), Stage::Scan);
+    let part = sys.db.worker(w).scan_filter_project(table, pred, proj)?;
+    span.done(0, part.num_rows() as u64);
+    Ok(part)
+}
+
+/// The DB step every algorithm starts with, per worker: this worker's
+/// slice of `T'` (Fig. 1–4, step 1).
 pub(crate) fn db_scan_step(
     sys: &HybridSystem,
     query: &HybridQuery,
     driver: &Driver,
     w: usize,
 ) -> Result<Batch> {
-    let _permit = driver.compute_permit();
-    let span = sys.tracer.start(format!("db-{w}"), Stage::Scan);
-    let part =
-        sys.db
-            .worker(w)
-            .scan_filter_project(&query.db_table, &query.db_pred, &query.db_proj)?;
-    let rows = part.num_rows() as u64;
-    span.done(0, rows);
-    sys.metrics.add("core.t_prime_rows", rows);
+    let (table, pred, proj) = (&query.db_table, &query.db_pred, &query.db_proj);
+    let part = db_scan(sys, driver, w, table, pred, proj)?;
+    sys.metrics.add("core.t_prime_rows", part.num_rows() as u64);
     Ok(part)
 }
 
@@ -636,7 +646,7 @@ pub(crate) struct LSource {
     spec: ScanSpec,
     /// Whether each worker takes `BF_DB` off the wire and applies it.
     takes_bf: bool,
-    /// Whether the blocks sit in [`JenTask::scanned`], parked by the
+    /// Whether the blocks sit in [`JenTask::blocks`], parked by the
     /// prescan, instead of waiting to be scanned.
     parked: bool,
 }
@@ -680,7 +690,7 @@ impl LSource {
             )?;
             return Ok(blocks);
         }
-        let blocks = st.scanned.take().unwrap_or_default();
+        let blocks = st.blocks.take().unwrap_or_default();
         let Some(bf) = bf else {
             return Ok(blocks);
         };
@@ -734,7 +744,7 @@ pub(crate) fn first_phase<'env>(
                 st.part = Some(part);
             }
             for (st, blocks) in jen_states.iter_mut().zip(pre.l_blocks) {
-                st.scanned = Some(blocks);
+                st.blocks = Some(blocks);
             }
             (true, bf_db)
         }
@@ -775,31 +785,36 @@ pub(crate) fn first_phase<'env>(
     Ok((l_src, db, TaskSet::new("jen", jen_states)))
 }
 
-/// Route a DB batch to the owning JEN workers with the agreed hash on
-/// `DbData` (one EOS per destination), under a ShuffleSend span. With a
-/// [`SaltRouter`], heavy-hitter probe rows are replicated to the key's salt
-/// workers instead (the build side was split across them).
+/// Route a DB batch to the owning JEN workers by its `key` column with the
+/// agreed hash on `stream` (one EOS per destination), under a ShuffleSend
+/// span; returns the rows and bytes sent. With a [`SaltRouter`],
+/// heavy-hitter rows are replicated to the key's salt workers instead (the
+/// other side was split across them).
 pub(crate) fn db_route_to_jen(
     sys: &HybridSystem,
-    query: &HybridQuery,
     st: &mut DbTask,
     w: usize,
     batch: &Batch,
+    key: usize,
+    stream: StreamTag,
     salt: Option<&SaltRouter>,
-) -> Result<()> {
+) -> Result<(u64, u64)> {
     let num_jen = sys.config.jen_workers;
     let span = sys.tracer.start(format!("db-{w}"), Stage::ShuffleSend);
     let routed = match salt {
-        Some(r) => r.partition_probe(batch, query.db_key)?,
-        None => partition_by_key(batch, query.db_key, num_jen, agreed_shuffle_partition)?,
+        Some(r) => r.partition_probe(batch, key)?,
+        None => partition_by_key(batch, key, num_jen, agreed_shuffle_partition)?,
     };
+    let (mut rows, mut bytes) = (0u64, 0u64);
     for (jen_idx, piece) in routed.into_iter().enumerate() {
+        rows += piece.num_rows() as u64;
+        bytes += piece.serialized_bytes() as u64;
         let dst = Endpoint::Jen(JenWorkerId(jen_idx));
-        st.mailbox.send_data(dst, StreamTag::DbData, &piece)?;
-        st.mailbox.send_eos(dst, StreamTag::DbData)?;
+        st.mailbox.send_data(dst, stream, &piece)?;
+        st.mailbox.send_eos(dst, stream)?;
     }
     span.done(batch.serialized_bytes() as u64, batch.num_rows() as u64);
-    Ok(())
+    Ok((rows, bytes))
 }
 
 /// Send-side accumulation buffer for one shuffle destination. Routed rows
@@ -932,11 +947,25 @@ pub(crate) fn jen_shuffle_share(
     Ok(())
 }
 
+/// A JEN worker's local hash joiner over `schema`, keyed on `key`.
+/// In-memory by default, hybrid-hash with dynamic partition eviction when
+/// the engine has a build-side memory budget (a row limit or this worker's
+/// byte share of the query's grant).
+pub(crate) fn local_joiner(sys: &HybridSystem, schema: Schema, key: usize) -> Result<LocalJoiner> {
+    LocalJoiner::new(
+        schema,
+        key,
+        sys.config.jen_memory_limit_rows,
+        sys.query_budget
+            .as_ref()
+            .map(|q| q.worker_share(sys.config.jen_workers)),
+        sys.metrics.clone(),
+    )
+}
+
 /// JEN epilogue, first half (repartition/zigzag/semijoin): receive the
 /// shuffled HDFS partitions and build the local hash joiner over them plus
-/// the local partition. In-memory by default, hybrid-hash with dynamic
-/// partition eviction when the engine has a build-side memory budget (a
-/// row limit or a byte share of the system's buffer pool).
+/// the local partition ([`local_joiner`]).
 pub(crate) fn jen_recv_build(
     sys: &HybridSystem,
     query: &HybridQuery,
@@ -964,15 +993,7 @@ pub(crate) fn jen_recv_build(
         .add(&format!("net.shuffle.rows.jen-{w}"), built_rows);
     let _permit = driver.compute_permit();
     let build_span = sys.tracer.start(label, Stage::HashBuild);
-    let mut joiner = LocalJoiner::new(
-        l_schema.clone(),
-        query.hdfs_key,
-        sys.config.jen_memory_limit_rows,
-        sys.query_budget
-            .as_ref()
-            .map(|q| q.worker_share(sys.config.jen_workers)),
-        sys.metrics.clone(),
-    )?;
+    let mut joiner = local_joiner(sys, l_schema.clone(), query.hdfs_key)?;
     joiner.build(local)?;
     for b in shuffled.batches {
         joiner.build(b)?;
@@ -1005,7 +1026,30 @@ pub(crate) fn jen_probe_aggregate(
     let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
     let joined = joiner.probe_all(t_schema, db_data.batches, query.db_key)?;
     probe_span.done(0, probe_rows);
-    let joined = match query.post_predicate_hdfs_layout() {
+    st.partial = Some(partial_aggregate(
+        sys,
+        label,
+        joined,
+        query.post_predicate_hdfs_layout().as_ref(),
+        &query.group_expr_hdfs_layout(),
+        query.aggs_hdfs_layout(),
+    )?);
+    Ok(())
+}
+
+/// The post-join tail of every HDFS-side plan, binary or star: apply the
+/// residual predicate to one worker's joined rows and fold them into its
+/// partial aggregate. The expressions must already address `joined`'s
+/// physical layout.
+pub(crate) fn partial_aggregate(
+    sys: &HybridSystem,
+    label: String,
+    joined: Batch,
+    post_predicate: Option<&Expr>,
+    group_expr: &Expr,
+    aggs: Vec<AggSpec>,
+) -> Result<Batch> {
+    let joined = match post_predicate {
         Some(p) => {
             let mask = p.eval_predicate(&joined)?;
             joined.filter(&mask)?
@@ -1013,21 +1057,23 @@ pub(crate) fn jen_probe_aggregate(
         None => joined,
     };
     let agg_span = sys.tracer.start(label, Stage::Aggregate);
-    let mut agg = HashAggregator::new(query.aggs_hdfs_layout());
-    let groups = query.group_expr_hdfs_layout().eval_i64(&joined)?;
+    let mut agg = HashAggregator::new(aggs);
+    let groups = group_expr.eval_i64(&joined)?;
     agg.update(&groups, &joined)?;
-    st.partial = Some(agg.finish());
+    let partial = agg.finish();
     agg_span.done(0, joined.num_rows() as u64);
-    Ok(())
+    Ok(partial)
 }
 
-/// Append the HDFS-side epilogue shared by broadcast/repartition/zigzag/
-/// semijoin/perf at sequence numbers `seq..seq+2`: partial aggregates
-/// travel to the designated worker, which merges them and ships the final
-/// result to DB worker 0 (Figures 2–4, final steps).
+/// Append the HDFS-side epilogue every plan but DB-side shares, binary or
+/// star, at sequence numbers `seq..seq+2`: partial aggregates travel to the
+/// designated worker, which merges them and ships the final result to DB
+/// worker 0 (Figures 2–4, final steps). `aggs` are the query's canonical
+/// aggregates: merging folds accumulator columns, so no layout remap
+/// applies to partials.
 pub(crate) fn add_final_aggregation_steps<'env>(
     sys: &'env HybridSystem,
-    query: &'env HybridQuery,
+    aggs: &'env [AggSpec],
     jen: &mut TaskSet<'env, JenTask>,
     db: &mut TaskSet<'env, DbTask>,
     seq: u32,
@@ -1053,7 +1099,7 @@ pub(crate) fn add_final_aggregation_steps<'env>(
         let agg_span = sys
             .tracer
             .start(format!("jen-{}", designated.index()), Stage::Aggregate);
-        let mut merger = HashAggregator::new(query.aggs.clone());
+        let mut merger = HashAggregator::new(aggs.to_vec());
         if let Some(p) = st.partial.take() {
             merger.merge_partial(&p)?;
         }
@@ -1076,10 +1122,7 @@ pub(crate) fn add_final_aggregation_steps<'env>(
         let got = st.mailbox.take_stream(StreamTag::FinalResult, 1)?;
         // an all-EOS stream means an empty result; the aggregate schema is
         // a property of the query, so build it from an empty aggregator
-        let schema = HashAggregator::new(query.aggs.clone())
-            .finish()
-            .schema()
-            .clone();
+        let schema = HashAggregator::new(aggs.to_vec()).finish().schema().clone();
         st.result = Some(if got.batches.is_empty() {
             Batch::empty(schema)
         } else {
@@ -1090,8 +1133,14 @@ pub(crate) fn add_final_aggregation_steps<'env>(
     Ok(())
 }
 
-/// Pull the final result off DB worker 0's state after a driver run.
-pub(crate) fn take_result(mut db_states: Vec<DbTask>) -> Result<Batch> {
+/// Run a plan's two task sets to completion and pull the final result off
+/// DB worker 0.
+pub(crate) fn run_to_result(
+    driver: &Driver,
+    db: TaskSet<'_, DbTask>,
+    jen: TaskSet<'_, JenTask>,
+) -> Result<Batch> {
+    let (mut db_states, _jen_states) = driver.run_pair(db, jen)?;
     db_states
         .first_mut()
         .and_then(|st| st.result.take())

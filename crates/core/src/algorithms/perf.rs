@@ -30,8 +30,9 @@
 //! 5. local joins + aggregation as in the repartition join.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_route_to_jen, db_scan_step, db_tasks, jen_probe_aggregate,
-    jen_shuffle_share, jen_tasks, t_prime_schema, take_result, Driver, TaskSet,
+    add_final_aggregation_steps, db_route_to_jen, db_scan_step, db_schema, db_tasks,
+    jen_probe_aggregate, jen_shuffle_share, jen_tasks, local_joiner, run_to_result, Driver,
+    TaskSet,
 };
 use crate::query::HybridQuery;
 use crate::system::HybridSystem;
@@ -43,7 +44,6 @@ use hybrid_common::ids::{DbWorkerId, JenWorkerId};
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
 use hybrid_jen::pipeline::scan_blocks_pipelined;
-use hybrid_jen::LocalJoiner;
 use hybrid_jen::ScanSpec;
 use hybrid_net::{Endpoint, StreamTag};
 use std::collections::HashSet;
@@ -61,7 +61,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         bloom_key: None,
     };
     let l_schema = &plan.table.schema.project(&query.hdfs_proj)?;
-    let t_schema = &t_prime_schema(sys, query)?;
+    let t_schema = &db_schema(sys, &query.db_table, &query.db_proj)?;
     let key_schema = &Schema::from_pairs(&[("joinKey", DataType::I64)]);
 
     let mut db = TaskSet::new("db", db_tasks(sys, driver)?);
@@ -147,15 +147,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         {
             let _permit = driver.compute_permit();
             let build_span = sys.tracer.start(label, Stage::HashBuild);
-            let mut joiner = LocalJoiner::new(
-                l_schema.clone(),
-                query.hdfs_key,
-                sys.config.jen_memory_limit_rows,
-                sys.query_budget
-                    .as_ref()
-                    .map(|q| q.worker_share(sys.config.jen_workers)),
-                sys.metrics.clone(),
-            )?;
+            let mut joiner = local_joiner(sys, l_schema.clone(), query.hdfs_key)?;
             collect_keys(&local, query.hdfs_key, &mut owned_keys)?;
             joiner.build(local)?;
             for b in shuffled.batches {
@@ -229,7 +221,8 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         let t_second = part.filter(&mask)?;
         sys.metrics
             .add("db.perf.t_rows_after_bitmap", t_second.num_rows() as u64);
-        db_route_to_jen(sys, query, st, w, &t_second, None)
+        db_route_to_jen(sys, st, w, &t_second, query.db_key, StreamTag::DbData, None)?;
+        Ok(())
     });
 
     // Step 5: probe + aggregate (identical to the repartition epilogue).
@@ -237,10 +230,9 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         jen_probe_aggregate(sys, query, driver, st, w, t_schema)
     });
 
-    add_final_aggregation_steps(sys, query, &mut jen, &mut db, 70)?;
+    add_final_aggregation_steps(sys, &query.aggs, &mut jen, &mut db, 70)?;
 
-    let (db_states, _jen_states) = driver.run_pair(db, jen)?;
-    take_result(db_states)
+    run_to_result(driver, db, jen)
 }
 
 fn collect_keys(batch: &Batch, key_col: usize, out: &mut HashSet<i64>) -> Result<()> {

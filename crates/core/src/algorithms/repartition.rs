@@ -8,14 +8,15 @@
 //! aggregates partially, and the designated worker returns the final result.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, first_phase, jen_probe_aggregate, jen_recv_build,
-    jen_shuffle_share, t_prime_schema, take_result, Driver, Input,
+    add_final_aggregation_steps, db_route_to_jen, db_schema, first_phase, jen_probe_aggregate,
+    jen_recv_build, jen_shuffle_share, run_to_result, Driver, Input,
 };
 use crate::query::HybridQuery;
 use crate::skew::SaltRouter;
 use crate::system::HybridSystem;
 use hybrid_common::batch::Batch;
 use hybrid_common::error::Result;
+use hybrid_net::StreamTag;
 
 pub(crate) fn execute(
     sys: &HybridSystem,
@@ -24,10 +25,11 @@ pub(crate) fn execute(
     input: Input,
 ) -> Result<Batch> {
     let driver = &Driver::from_config(&sys.config);
-    let t_schema = &t_prime_schema(sys, query)?;
+    let t_schema = &db_schema(sys, &query.db_table, &query.db_proj)?;
     // Heavy-hitter detection (None unless `salt_buckets` is configured and
     // a hot key clears the threshold) — both sides must agree on it.
-    let salt = &SaltRouter::detect(sys, query)?;
+    let salt = SaltRouter::detect(sys, query)?;
+    let salt = salt.as_ref();
 
     // Step 1: T' per DB worker (+ global BF_DB multicast from worker 0).
     let (l_src, mut db, mut jen) = first_phase(sys, query, driver, input, use_bloom.then_some(12))?;
@@ -37,7 +39,8 @@ pub(crate) fn execute(
     // JEN worker that will join it, no re-shuffle needed (§3.3).
     db.step(14, move |w, st| {
         let part = st.part.take().expect("T' scanned in step 10 or parked");
-        crate::algorithms::db_route_to_jen(sys, query, st, w, &part, salt.as_ref())
+        db_route_to_jen(sys, st, w, &part, query.db_key, StreamTag::DbData, salt)?;
+        Ok(())
     });
 
     // Step 3: JEN workers scan (applying BF_DB if present) and shuffle the
@@ -49,7 +52,7 @@ pub(crate) fn execute(
             let _permit = driver.compute_permit();
             l_src.blocks(sys, query, st, w, bloom.as_ref())?
         };
-        jen_shuffle_share(sys, query, st, w, l_blocks, l_schema, salt.as_ref())
+        jen_shuffle_share(sys, query, st, w, l_blocks, l_schema, salt)
     });
 
     // Step 4: each JEN worker builds its hash table from the shuffled HDFS
@@ -65,8 +68,7 @@ pub(crate) fn execute(
     });
 
     // Steps 5–6: final aggregation + return to the database.
-    add_final_aggregation_steps(sys, query, &mut jen, &mut db, 40)?;
+    add_final_aggregation_steps(sys, &query.aggs, &mut jen, &mut db, 40)?;
 
-    let (db_states, _jen_states) = driver.run_pair(db, jen)?;
-    take_result(db_states)
+    run_to_result(driver, db, jen)
 }

@@ -14,8 +14,9 @@
 //! same global sorted key set the sequential version shipped.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_route_to_jen, db_scan_step, db_tasks, jen_probe_aggregate,
-    jen_recv_build, jen_shuffle_share, jen_tasks, t_prime_schema, take_result, Driver, TaskSet,
+    add_final_aggregation_steps, db_route_to_jen, db_scan_step, db_schema, db_tasks,
+    jen_probe_aggregate, jen_recv_build, jen_shuffle_share, jen_tasks, run_to_result, Driver,
+    TaskSet,
 };
 use crate::query::HybridQuery;
 use crate::skew::SaltRouter;
@@ -52,10 +53,11 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         bloom_key: None,
     };
     let l_schema = &plan.table.schema.project(&query.hdfs_proj)?;
-    let t_schema = &t_prime_schema(sys, query)?;
+    let t_schema = &db_schema(sys, &query.db_table, &query.db_proj)?;
     let key_schema = &Schema::from_pairs(&[("joinKey", DataType::I64)]);
     // Hot-key routing for the post-keyset L' shuffle and the T' shipment.
-    let salt = &SaltRouter::detect(sys, query)?;
+    let salt = SaltRouter::detect(sys, query)?;
+    let salt = salt.as_ref();
 
     let mut db = TaskSet::new("db", db_tasks(sys, driver)?);
     let mut jen = TaskSet::new("jen", jen_tasks(sys, driver)?);
@@ -103,7 +105,8 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
     // Step 3: DB workers route T' with the agreed hash (as in repartition).
     db.step(16, move |w, st| {
         let part = st.part.take().expect("T' scanned in step 10");
-        db_route_to_jen(sys, query, st, w, &part, salt.as_ref())
+        db_route_to_jen(sys, st, w, &part, query.db_key, StreamTag::DbData, salt)?;
+        Ok(())
     });
 
     // Step 4: JEN workers scan, filter by the exact key set, and shuffle,
@@ -129,7 +132,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         let rows_after: u64 = l_blocks.iter().map(|b| b.num_rows() as u64).sum();
         sys.metrics
             .add("jen.semijoin.rows_after_keyset", rows_after);
-        jen_shuffle_share(sys, query, st, w, l_blocks, l_schema, salt.as_ref())
+        jen_shuffle_share(sys, query, st, w, l_blocks, l_schema, salt)
     });
 
     // Step 5: local joins exactly as in the repartition join — build and
@@ -142,8 +145,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         jen_probe_aggregate(sys, query, driver, st, w, t_schema)
     });
 
-    add_final_aggregation_steps(sys, query, &mut jen, &mut db, 40)?;
+    add_final_aggregation_steps(sys, &query.aggs, &mut jen, &mut db, 40)?;
 
-    let (db_states, _jen_states) = driver.run_pair(db, jen)?;
-    take_result(db_states)
+    run_to_result(driver, db, jen)
 }

@@ -19,8 +19,8 @@
 //! predicates on *both* sides on top of both local predicates.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_route_to_jen, first_phase, jen_probe_aggregate, jen_recv_build,
-    jen_shuffle_share, t_prime_schema, take_result, Driver, Input,
+    add_final_aggregation_steps, db_route_to_jen, db_schema, first_phase, jen_probe_aggregate,
+    jen_recv_build, jen_shuffle_share, run_to_result, Driver, Input,
 };
 use crate::query::HybridQuery;
 use crate::skew::SaltRouter;
@@ -36,9 +36,10 @@ pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> 
     let num_jen = sys.config.jen_workers;
 
     let designated = sys.coordinator.designated_worker()?;
-    let t_schema = &t_prime_schema(sys, query)?;
+    let t_schema = &db_schema(sys, &query.db_table, &query.db_proj)?;
     // Shared hot-key routing for the L' shuffle and the T'' shipment.
-    let salt = &SaltRouter::detect(sys, query)?;
+    let salt = SaltRouter::detect(sys, query)?;
+    let salt = salt.as_ref();
 
     // Steps 1–2: T' per DB worker, global BF_DB, multicast to JEN workers.
     let (l_src, mut db, mut jen) = first_phase(sys, query, driver, input, Some(12))?;
@@ -72,7 +73,7 @@ pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> 
             st.mailbox.send_eos(to, StreamTag::HdfsBloom)?;
         }
         // 3c: shuffle by the agreed hash; local partition stays put
-        jen_shuffle_share(sys, query, st, w, l_blocks, l_schema, salt.as_ref())
+        jen_shuffle_share(sys, query, st, w, l_blocks, l_schema, salt)
     });
 
     // Step 4: merge local BF_H's at the designated worker; broadcast the
@@ -133,7 +134,8 @@ pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> 
         };
         sys.metrics
             .add("db.bloom.t_rows_after_bfh", t_second.num_rows() as u64);
-        db_route_to_jen(sys, query, st, w, &t_second, salt.as_ref())
+        db_route_to_jen(sys, st, w, &t_second, query.db_key, StreamTag::DbData, salt)?;
+        Ok(())
     });
 
     // Step 7: build on the shuffled HDFS data, then probe with T'' (layout
@@ -148,8 +150,7 @@ pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> 
     });
 
     // Steps 8–9: final aggregation at the designated worker, result to DB.
-    add_final_aggregation_steps(sys, query, &mut jen, &mut db, 50)?;
+    add_final_aggregation_steps(sys, &query.aggs, &mut jen, &mut db, 50)?;
 
-    let (db_states, _jen_states) = driver.run_pair(db, jen)?;
-    take_result(db_states)
+    run_to_result(driver, db, jen)
 }

@@ -2,7 +2,7 @@
 //! steps over the dimensions, in advisor-priced order.
 //!
 //! Step `i` joins dimension `steps[i].dim` into the running intermediate
-//! `cur` (initially the filtered fact scan):
+//! `cur` (each worker's `JenTask::blocks`; at first the filtered fact scan):
 //!
 //! * **broadcast** — every DB worker ships its whole filtered dimension
 //!   slice to every JEN worker; `cur` stays put.
@@ -28,22 +28,22 @@
 //! step ordinals — which the chaos layer's worker kills count — do not
 //! depend on the advisor's per-step mode choices.
 
-use super::{
-    add_star_aggregation_steps, detect_hot_fact_keys, finalize_partial, meter_shuffle, mw_db_tasks,
-    mw_jen_tasks, ordered_batches, take_star_result, MwJen, StarQuery,
-};
+use super::{detect_hot_fact_keys, meter_shuffle, ordered_batches, physical_exprs, StarQuery};
 use crate::advisor::CascadeStep;
-use crate::algorithms::{Driver, TaskSet};
+use crate::algorithms::{
+    add_final_aggregation_steps, db_route_to_jen, db_scan, db_schema, db_tasks, jen_tasks,
+    local_joiner, partial_aggregate, run_to_result, Driver, TaskSet,
+};
 use crate::skew::{SaltCursors, SaltRouter};
 use crate::system::HybridSystem;
 use hybrid_common::batch::{Batch, BatchBuilder};
 use hybrid_common::error::Result;
 use hybrid_common::hash::agreed_shuffle_partition;
-use hybrid_common::ops::{partition_by_key, partition_sel};
+use hybrid_common::ops::partition_sel;
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
 use hybrid_jen::pipeline::scan_blocks_batched;
-use hybrid_jen::{LocalJoiner, ScanSpec};
+use hybrid_jen::ScanSpec;
 use hybrid_net::StreamTag;
 
 pub(crate) fn execute(
@@ -63,18 +63,11 @@ pub(crate) fn execute(
         bloom_key: None,
     };
     let fact_schema = plan.table.schema.project(&star.fact_proj)?;
-    let dim_schemas: Vec<Schema> = star
+    let dim_schemas: &Vec<Schema> = &star
         .dims
         .iter()
-        .map(|d| {
-            sys.db
-                .worker(0)
-                .partition(&d.table)?
-                .schema()
-                .project(&d.proj)
-        })
+        .map(|d| db_schema(sys, &d.table, &d.proj))
         .collect::<Result<_>>()?;
-    let dim_schemas = &dim_schemas;
 
     // Heavy hitters per foreign-key axis; both clusters must route from
     // the same hot sets, so detection happens once, up front.
@@ -101,23 +94,23 @@ pub(crate) fn execute(
     let cur_schemas = &cur_schemas;
     let fact_offs = &fact_offs;
     let order: Vec<usize> = steps.iter().map(|s| s.dim).collect();
-    let order = &order;
+    let (post_predicate, group_expr, aggs) = &physical_exprs(star, &order);
 
-    let mut db = TaskSet::new("db", mw_db_tasks(sys, driver)?);
-    let mut jen = TaskSet::new("jen", mw_jen_tasks(sys, driver)?);
+    let mut db = TaskSet::new("db", db_tasks(sys, driver)?);
+    let mut jen = TaskSet::new("jen", jen_tasks(sys, driver)?);
 
     // Step 1: every JEN worker scans its fact share (per-block batches —
     // the intermediate stays block-framed until its first re-shuffle).
-    jen.step(10, move |w, st: &mut MwJen| {
+    jen.step(10, move |w, st| {
         let _permit = driver.compute_permit();
-        st.cur = scan_blocks_batched(
+        let (blocks, _) = scan_blocks_batched(
             &sys.jen_workers[w],
             &plan.table,
             &plan.blocks[w],
             scan_spec,
             None,
-        )?
-        .0;
+        )?;
+        st.blocks = Some(blocks);
         Ok(())
     });
 
@@ -131,53 +124,33 @@ pub(crate) fn execute(
         // Step 2+3i: DB workers filter the dimension and ship it —
         // everywhere (broadcast) or hash-routed to the key's owner.
         db.step(base, move |w, st| {
-            let part = {
-                let _permit = driver.compute_permit();
-                let span = sys.tracer.start(format!("db-{w}"), Stage::Scan);
-                let part = sys
-                    .db
-                    .worker(w)
-                    .scan_filter_project(&dq.table, &dq.pred, &dq.proj)?;
-                span.done(0, part.num_rows() as u64);
-                part
-            };
-            let span = sys.tracer.start(format!("db-{w}"), Stage::ShuffleSend);
-            if broadcast {
+            let part = db_scan(sys, driver, w, &dq.table, &dq.pred, &dq.proj)?;
+            let (rows, bytes) = if broadcast {
+                let span = sys.tracer.start(format!("db-{w}"), Stage::ShuffleSend);
                 for jen_ep in sys.fabric.jen_endpoints() {
                     st.mailbox
                         .send_data(jen_ep, StreamTag::dim_data(i), &part)?;
                     st.mailbox.send_eos(jen_ep, StreamTag::dim_data(i))?;
                 }
-                meter_shuffle(
-                    sys,
+                span.done(part.serialized_bytes() as u64, part.num_rows() as u64);
+                (
                     part.num_rows() as u64 * num_jen as u64,
                     part.serialized_bytes() as u64 * num_jen as u64,
-                );
+                )
             } else {
                 // hot-key dimension rows replicate to the salt workers
                 // that will each hold a slice of the split `cur` stream
-                let routed = match &routers[d] {
-                    Some(r) => r.partition_probe(&part, dq.key)?,
-                    None => partition_by_key(&part, dq.key, num_jen, agreed_shuffle_partition)?,
-                };
-                let (mut rows, mut bytes) = (0u64, 0u64);
-                for (jen_idx, piece) in routed.into_iter().enumerate() {
-                    rows += piece.num_rows() as u64;
-                    bytes += piece.serialized_bytes() as u64;
-                    let dst = sys.fabric.jen_endpoints()[jen_idx];
-                    st.mailbox.send_data(dst, StreamTag::dim_data(i), &piece)?;
-                    st.mailbox.send_eos(dst, StreamTag::dim_data(i))?;
-                }
-                meter_shuffle(sys, rows, bytes);
-            }
-            span.done(part.serialized_bytes() as u64, part.num_rows() as u64);
+                let stream = StreamTag::dim_data(i);
+                db_route_to_jen(sys, st, w, &part, dq.key, stream, routers[d].as_ref())?
+            };
+            meter_shuffle(sys, rows, bytes);
             Ok(())
         });
 
         // Step 3+3i: JEN workers re-shuffle `cur` by the step's foreign
         // key. A broadcast step skips the shuffle but keeps the step, so
         // chaos kill ordinals stay mode-independent.
-        jen.step(base + 2, move |w, st: &mut MwJen| {
+        jen.step(base + 2, move |w, st| {
             if broadcast {
                 return Ok(());
             }
@@ -190,7 +163,7 @@ pub(crate) fn execute(
                 .map(|_| BatchBuilder::new(schema.clone()))
                 .collect();
             let (mut rows, mut bytes) = (0u64, 0u64);
-            for block in std::mem::take(&mut st.cur) {
+            for block in st.blocks.take().unwrap_or_default() {
                 if block.is_empty() {
                     continue;
                 }
@@ -206,7 +179,7 @@ pub(crate) fn execute(
             for (dst, builder) in builders.into_iter().enumerate() {
                 let piece = builder.finish();
                 if dst == w {
-                    st.cur = vec![piece]; // local slice: no network traffic
+                    st.blocks = Some(vec![piece]); // local slice: no network traffic
                 } else {
                     rows += piece.num_rows() as u64;
                     bytes += piece.serialized_bytes() as u64;
@@ -222,12 +195,12 @@ pub(crate) fn execute(
         });
 
         // Step 4+3i: receive, build on the dimension, probe with `cur`.
-        jen.step(base + 4, move |w, st: &mut MwJen| {
+        jen.step(base + 4, move |w, st| {
             let label = sys.jen_workers[w].span_label();
             let recv_span = sys.tracer.start(label.clone(), Stage::ShuffleRecv);
             let dim_batches =
                 ordered_batches(st.mailbox.take_stream(StreamTag::dim_data(i), num_db)?);
-            let mut probes = std::mem::take(&mut st.cur);
+            let mut probes = st.blocks.take().unwrap_or_default();
             if !broadcast {
                 let got = st
                     .mailbox
@@ -241,15 +214,7 @@ pub(crate) fn execute(
                 .add(&format!("net.shuffle.rows.jen-{w}"), dim_rows);
             let _permit = driver.compute_permit();
             let build_span = sys.tracer.start(label.clone(), Stage::HashBuild);
-            let mut joiner = LocalJoiner::new(
-                dim_schemas[d].clone(),
-                dq.key,
-                sys.config.jen_memory_limit_rows,
-                sys.query_budget
-                    .as_ref()
-                    .map(|q| q.worker_share(sys.config.jen_workers)),
-                sys.metrics.clone(),
-            )?;
+            let mut joiner = local_joiner(sys, dim_schemas[d].clone(), dq.key)?;
             for b in dim_batches {
                 joiner.build(b)?;
             }
@@ -258,31 +223,31 @@ pub(crate) fn execute(
             let probe_span = sys.tracer.start(label, Stage::Probe);
             let joined = joiner.probe_all(&cur_schemas[i], probes, fk_col)?;
             probe_span.done(0, probe_rows);
-            st.cur = vec![joined];
+            st.blocks = Some(vec![joined]);
             Ok(())
         });
     }
 
     // Finalize: residual predicate + per-worker partial aggregate.
     let fin = 20 + 10 * steps.len() as u32;
-    jen.step(fin, move |w, st: &mut MwJen| {
+    jen.step(fin, move |w, st| {
         let _permit = driver.compute_permit();
         let joined = Batch::concat(
             cur_schemas.last().expect("seeded").clone(),
-            &std::mem::take(&mut st.cur),
+            &st.blocks.take().unwrap_or_default(),
         )?;
-        st.partial = Some(finalize_partial(
+        st.partial = Some(partial_aggregate(
             sys,
-            star,
-            order,
-            joined,
             sys.jen_workers[w].span_label(),
+            joined,
+            post_predicate.as_ref(),
+            group_expr,
+            aggs.clone(),
         )?);
         Ok(())
     });
 
-    add_star_aggregation_steps(sys, star, &mut jen, &mut db, fin + 2)?;
+    add_final_aggregation_steps(sys, &star.aggs, &mut jen, &mut db, fin + 2)?;
 
-    let (db_states, _jen_states) = driver.run_pair(db, jen)?;
-    take_star_result(db_states)
+    run_to_result(driver, db, jen)
 }

@@ -23,10 +23,12 @@
 //! still meets exactly once, in the unique cell the fact row landed in.
 
 use super::{
-    add_star_aggregation_steps, detect_hot_fact_keys, finalize_partial, meter_shuffle, mw_db_tasks,
-    mw_jen_tasks, ordered_batches, take_star_result, MwJen, StarQuery, AXIS_SEED,
+    detect_hot_fact_keys, meter_shuffle, ordered_batches, physical_exprs, StarQuery, AXIS_SEED,
 };
-use crate::algorithms::{Driver, TaskSet};
+use crate::algorithms::{
+    add_final_aggregation_steps, db_scan, db_schema, db_tasks, jen_tasks, local_joiner,
+    partial_aggregate, run_to_result, Driver, TaskSet,
+};
 use crate::system::HybridSystem;
 use hybrid_common::batch::{Batch, BatchBuilder};
 use hybrid_common::error::Result;
@@ -34,7 +36,7 @@ use hybrid_common::hash::hash_key_seeded;
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
 use hybrid_jen::pipeline::scan_blocks_batched;
-use hybrid_jen::{LocalJoiner, ScanSpec};
+use hybrid_jen::ScanSpec;
 use hybrid_net::StreamTag;
 use std::collections::HashMap;
 
@@ -95,29 +97,24 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
         bloom_key: None,
     };
     let fact_schema = &plan.table.schema.project(&star.fact_proj)?;
-    let dim_schemas: Vec<Schema> = star
+    let dim_schemas: &Vec<Schema> = &star
         .dims
         .iter()
-        .map(|d| {
-            sys.db
-                .worker(0)
-                .partition(&d.table)?
-                .schema()
-                .project(&d.proj)
-        })
+        .map(|d| db_schema(sys, &d.table, &d.proj))
         .collect::<Result<_>>()?;
-    let dim_schemas = &dim_schemas;
+    // cells probe the dimensions in identity order
+    let (post_predicate, group_expr, aggs) = &physical_exprs(star, &(0..k).collect::<Vec<_>>());
 
     let hot = &detect_hot_fact_keys(sys, star)?;
 
-    let mut db = TaskSet::new("db", mw_db_tasks(sys, driver)?);
-    let mut jen = TaskSet::new("jen", mw_jen_tasks(sys, driver)?);
+    let mut db = TaskSet::new("db", db_tasks(sys, driver)?);
+    let mut jen = TaskSet::new("jen", jen_tasks(sys, driver)?);
 
     // Step 1: every JEN worker scans its fact share and routes each row to
     // the one cell its k axis hashes name. Every worker sends EOS to every
     // peer — including cell-less workers past the grid — so the receive
     // barrier is uniform.
-    jen.step(10, move |w, st: &mut MwJen| {
+    jen.step(10, move |w, st| {
         let blocks = {
             let _permit = driver.compute_permit();
             scan_blocks_batched(
@@ -177,7 +174,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
         for (dst, builder) in builders.into_iter().enumerate() {
             let piece = builder.finish();
             if dst == w {
-                st.cur = vec![piece]; // own cell: no network traffic
+                st.blocks = Some(vec![piece]); // own cell: no network traffic
             } else {
                 rows += piece.num_rows() as u64;
                 bytes += piece.serialized_bytes() as u64;
@@ -197,16 +194,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
     // own stream tag; EOS goes to all JEN workers, cell-less ones included.
     db.step(12, move |w, st| {
         for (axis, dq) in star.dims.iter().enumerate() {
-            let part = {
-                let _permit = driver.compute_permit();
-                let span = sys.tracer.start(format!("db-{w}"), Stage::Scan);
-                let part = sys
-                    .db
-                    .worker(w)
-                    .scan_filter_project(&dq.table, &dq.pred, &dq.proj)?;
-                span.done(0, part.num_rows() as u64);
-                part
-            };
+            let part = db_scan(sys, driver, w, &dq.table, &dq.pred, &dq.proj)?;
             let span = sys.tracer.start(format!("db-{w}"), Stage::ShuffleSend);
             let mut dest_rows: Vec<Vec<u32>> = vec![Vec::new(); num_jen];
             if !part.is_empty() {
@@ -247,10 +235,10 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
     // slices, builds k hash tables, and probes them in identity order —
     // the physical layout is dim_{k-1}' ++ … ++ dim_0' ++ fact', the same
     // prefix stack a cascade in identity order produces.
-    jen.step(20, move |w, st: &mut MwJen| {
+    jen.step(20, move |w, st| {
         let label = sys.jen_workers[w].span_label();
         let recv_span = sys.tracer.start(label.clone(), Stage::ShuffleRecv);
-        let mut probes = std::mem::take(&mut st.cur);
+        let mut probes = st.blocks.take().unwrap_or_default();
         probes.extend(ordered_batches(
             st.mailbox
                 .take_stream(StreamTag::HdfsShuffle, num_jen - 1)?,
@@ -277,15 +265,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
             let dq = &star.dims[axis];
             let build_span = sys.tracer.start(label.clone(), Stage::HashBuild);
             let built: u64 = dim_batches.iter().map(|b| b.num_rows() as u64).sum();
-            let mut joiner = LocalJoiner::new(
-                dim_schemas[axis].clone(),
-                dq.key,
-                sys.config.jen_memory_limit_rows,
-                sys.query_budget
-                    .as_ref()
-                    .map(|q| q.worker_share(sys.config.jen_workers)),
-                sys.metrics.clone(),
-            )?;
+            let mut joiner = local_joiner(sys, dim_schemas[axis].clone(), dq.key)?;
             for b in dim_batches {
                 joiner.build(b)?;
             }
@@ -299,15 +279,20 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
             probes = vec![joined];
         }
         let joined = Batch::concat(cur_schema, &probes)?;
-        let identity: Vec<usize> = (0..k).collect();
-        st.partial = Some(finalize_partial(sys, star, &identity, joined, label)?);
+        st.partial = Some(partial_aggregate(
+            sys,
+            label,
+            joined,
+            post_predicate.as_ref(),
+            group_expr,
+            aggs.clone(),
+        )?);
         Ok(())
     });
 
-    add_star_aggregation_steps(sys, star, &mut jen, &mut db, 30)?;
+    add_final_aggregation_steps(sys, &star.aggs, &mut jen, &mut db, 30)?;
 
-    let (db_states, _jen_states) = driver.run_pair(db, jen)?;
-    take_star_result(db_states)
+    run_to_result(driver, db, jen)
 }
 
 #[cfg(test)]

@@ -5,19 +5,27 @@
 //! [`MAX_STAR_DIMENSIONS`] database dimension tables on per-dimension
 //! foreign keys. Two execution families cover it:
 //!
-//! * **Cascade** ([`cascade`]) — a left-deep chain of the existing binary
-//!   joins: each step ships one filtered dimension to the JEN cluster
-//!   (broadcast, or hash-routed with an intermediate re-shuffle) and joins
-//!   it into the running intermediate. Every step reuses the two-table
-//!   machinery — mailbox streams, salted routing, spill-aware local
-//!   joiners — so the per-step invariants (bit-identical results at any
-//!   thread/batch count, conservation laws, spill accounting) carry over.
+//! * **Cascade** ([`cascade`]) — a left-deep chain of binary joins: each
+//!   step ships one filtered dimension to the JEN cluster (broadcast, or
+//!   hash-routed with an intermediate re-shuffle) and joins it into the
+//!   running intermediate.
 //! * **Hypercube** ([`hypercube`]) — the Shares scheme of Afrati & Ullman:
 //!   workers form a k-dimensional grid sized by a cost-chosen share
 //!   vector; every fact row routes to exactly one cell (one hash per
 //!   axis), every dimension row replicates along its own axis. All joins
 //!   then run locally in one pass — the fact moves once, however many
 //!   dimensions there are.
+//!
+//! Only the routing is star-specific: the cascade's re-shuffle of the
+//! intermediate, the hypercube's grid routes, and the broadcast of a
+//! dimension. Everything else is the binary plans' code in
+//! [`crate::algorithms`]: the worker states (`JenTask`/`DbTask`; the
+//! running intermediate lives in `JenTask::blocks`), the prologue and the
+//! aggregation epilogue (`prepare_run`, `add_final_aggregation_steps`,
+//! `run_to_result`), the DB scan and projected schema (`db_scan`,
+//! `db_schema`), the hash-routed DB send (`db_route_to_jen`), the local
+//! joiner (`local_joiner`), the post-join tail (`partial_aggregate`), the
+//! query bounds check, and the hot-key sampler (`skew::sample_hot_keys`).
 //!
 //! [`run_star`] samples the tables, lets the advisor price the best
 //! cascade order against the best share vector
@@ -42,20 +50,17 @@ pub mod cascade;
 pub mod hypercube;
 
 use crate::advisor::{advise_multiway, MultiwayPlan};
-use crate::algorithms::{finish_run, Driver, Mailbox, StreamData, TaskSet};
+use crate::algorithms::{finish_run, prepare_run, StreamData};
 use crate::estimation::sample_star_stats;
-use crate::skew::{MIN_HOT_COUNT, SALT_SAMPLE_BLOCKS, SKETCH_CAPACITY};
+use crate::query::{check_joined_exprs, remap_agg_columns};
+use crate::skew::sample_hot_keys;
 use crate::stats::RunOutput;
 use crate::system::HybridSystem;
 use hybrid_common::batch::Batch;
 use hybrid_common::error::{HybridError, Result};
 use hybrid_common::expr::Expr;
-use hybrid_common::ids::DbWorkerId;
-use hybrid_common::ops::{AggSpec, HashAggregator};
-use hybrid_common::sketch::SpaceSaving;
-use hybrid_common::trace::Stage;
-use hybrid_net::{Endpoint, StreamTag};
-use hybrid_storage::decode;
+use hybrid_common::ops::AggSpec;
+use hybrid_net::Endpoint;
 use std::collections::HashSet;
 
 /// Hard cap on star dimensions: stream tags are static (EOS counts
@@ -150,35 +155,12 @@ impl StarQuery {
                 )));
             }
         }
-        let joined_width = self.joined_width();
-        for agg in &self.aggs {
-            let col = match *agg {
-                AggSpec::Count => None,
-                AggSpec::SumI64(c) | AggSpec::MinI64(c) | AggSpec::MaxI64(c) => Some(c),
-            };
-            if let Some(c) = col {
-                if c >= joined_width {
-                    return Err(HybridError::config(format!(
-                        "aggregate references column {c}, joined width is {joined_width}"
-                    )));
-                }
-            }
-        }
-        for (name, expr) in [
-            ("post_predicate", self.post_predicate.as_ref()),
-            ("group_expr", Some(&self.group_expr)),
-        ] {
-            if let Some(e) = expr {
-                if let Some(&max) = e.referenced_columns().iter().next_back() {
-                    if max >= joined_width {
-                        return Err(HybridError::config(format!(
-                            "{name} references column {max}, joined width is {joined_width}"
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(())
+        check_joined_exprs(
+            self.joined_width(),
+            self.post_predicate.as_ref(),
+            &self.group_expr,
+            &self.aggs,
+        )
     }
 
     /// Width of the canonical joined layout.
@@ -246,7 +228,7 @@ pub fn run_star(
     star.validate()?;
     let est = sample_star_stats(system, star, 8)?;
     let choice = advise_multiway(&est);
-    prepare_star_run(system, star)?;
+    prepare_run(system)?;
     // Decision audit trail: integer-rounded costs and the choice live in
     // the run snapshot (deterministic — derived from strided sampling).
     system.metrics.add(
@@ -280,65 +262,9 @@ pub fn run_star(
     Ok(finish_run(system, result))
 }
 
-/// The multiway prologue, mirroring [`crate::algorithms::prepare_run`]:
-/// validate, claim a memory grant on a budgeted system, and start from
-/// clean metrics, spans, and fabric.
-pub(crate) fn prepare_star_run(system: &mut HybridSystem, star: &StarQuery) -> Result<()> {
-    star.validate()?;
-    if system.query_budget.is_none() && system.mem_pool.is_bounded() {
-        system.query_budget = Some(system.mem_pool.reserve_remaining("direct-run")?);
-    }
-    system.reset_metrics();
-    system.tracer.reset();
-    system.fabric.purge();
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
-// shared per-worker state, plumbing, and helpers
+// star-specific helpers
 // ---------------------------------------------------------------------------
-
-/// Per-worker state threaded through a multiway JEN [`TaskSet`].
-pub(crate) struct MwJen {
-    pub mailbox: Mailbox,
-    /// The running intermediate (fact scan output, then join outputs).
-    pub cur: Vec<Batch>,
-    /// This worker's partial aggregate.
-    pub partial: Option<Batch>,
-}
-
-/// Per-worker state threaded through a multiway DB [`TaskSet`].
-pub(crate) struct MwDb {
-    pub mailbox: Mailbox,
-    /// The final query result (worker 0 only).
-    pub result: Option<Batch>,
-}
-
-pub(crate) fn mw_jen_tasks(sys: &HybridSystem, driver: &Driver) -> Result<Vec<MwJen>> {
-    sys.jen_workers
-        .iter()
-        .map(|w| {
-            Ok(MwJen {
-                mailbox: Mailbox::new(sys, Endpoint::Jen(w.id()))?
-                    .with_cancel(driver.cancel_token()),
-                cur: Vec::new(),
-                partial: None,
-            })
-        })
-        .collect()
-}
-
-pub(crate) fn mw_db_tasks(sys: &HybridSystem, driver: &Driver) -> Result<Vec<MwDb>> {
-    (0..sys.config.db_workers)
-        .map(|w| {
-            Ok(MwDb {
-                mailbox: Mailbox::new(sys, Endpoint::Db(DbWorkerId(w)))?
-                    .with_cancel(driver.cancel_token()),
-                result: None,
-            })
-        })
-        .collect()
-}
 
 /// Received batches in canonical sender order: stable-sorted by endpoint
 /// (DB workers before JEN workers, ascending index), per-sender FIFO
@@ -393,126 +319,23 @@ pub(crate) fn physical_map(star: &StarQuery, order: &[usize]) -> Vec<usize> {
     map
 }
 
-/// Rewrite a canonical joined-layout expression for the physical layout of
-/// a join `order` (see [`physical_map`]).
-pub(crate) fn remap_expr(star: &StarQuery, order: &[usize], expr: &Expr) -> Expr {
-    let map = physical_map(star, order);
-    expr.remap_columns(&|c| map.get(c).copied())
-        .expect("validated expressions stay in bounds")
-}
-
-/// Canonical aggregates rewritten for the physical layout of `order`.
-pub(crate) fn remap_aggs(star: &StarQuery, order: &[usize]) -> Vec<AggSpec> {
-    let map = physical_map(star, order);
-    star.aggs
-        .iter()
-        .map(|a| match *a {
-            AggSpec::Count => AggSpec::Count,
-            AggSpec::SumI64(c) => AggSpec::SumI64(map[c]),
-            AggSpec::MinI64(c) => AggSpec::MinI64(map[c]),
-            AggSpec::MaxI64(c) => AggSpec::MaxI64(map[c]),
-        })
-        .collect()
-}
-
-/// Post-join tail of one worker: apply the (remapped) residual predicate
-/// and fold the joined rows into this worker's partial aggregate.
-pub(crate) fn finalize_partial(
-    sys: &HybridSystem,
+/// The query's residual predicate, group key and aggregates, rewritten
+/// from the canonical joined layout to the physical layout of a join
+/// `order` (see [`physical_map`]).
+pub(crate) fn physical_exprs(
     star: &StarQuery,
     order: &[usize],
-    joined: Batch,
-    label: String,
-) -> Result<Batch> {
-    let joined = match &star.post_predicate {
-        Some(p) => {
-            let mask = remap_expr(star, order, p).eval_predicate(&joined)?;
-            joined.filter(&mask)?
-        }
-        None => joined,
+) -> (Option<Expr>, Expr, Vec<AggSpec>) {
+    let map = physical_map(star, order);
+    let remap = |e: &Expr| {
+        e.remap_columns(&|c| map.get(c).copied())
+            .expect("validated expressions stay in bounds")
     };
-    let agg_span = sys.tracer.start(label, Stage::Aggregate);
-    let groups = remap_expr(star, order, &star.group_expr).eval_i64(&joined)?;
-    let mut agg = HashAggregator::new(remap_aggs(star, order));
-    agg.update(&groups, &joined)?;
-    agg_span.done(0, joined.num_rows() as u64);
-    Ok(agg.finish())
-}
-
-/// The shared aggregation epilogue at `seq..seq+2`, mirroring the
-/// two-table [`crate::algorithms::add_final_aggregation_steps`]: partials
-/// travel to the designated JEN worker, which merges them and ships the
-/// final result to DB worker 0.
-pub(crate) fn add_star_aggregation_steps<'env>(
-    sys: &'env HybridSystem,
-    star: &'env StarQuery,
-    jen: &mut TaskSet<'env, MwJen>,
-    db: &mut TaskSet<'env, MwDb>,
-    seq: u32,
-) -> Result<()> {
-    let designated = sys.coordinator.designated_worker()?;
-    let num_jen = sys.config.jen_workers;
-    jen.step(seq, move |w, st| {
-        if w == designated.index() {
-            return Ok(());
-        }
-        let partial = st
-            .partial
-            .take()
-            .ok_or_else(|| HybridError::exec("missing partial aggregate"))?;
-        let to = Endpoint::Jen(designated);
-        st.mailbox.send_data(to, StreamTag::PartialAgg, &partial)?;
-        st.mailbox.send_eos(to, StreamTag::PartialAgg)
-    });
-    jen.step(seq + 1, move |w, st| {
-        if w != designated.index() {
-            return Ok(());
-        }
-        let agg_span = sys
-            .tracer
-            .start(format!("jen-{}", designated.index()), Stage::Aggregate);
-        // merge_partial folds accumulator columns, so the canonical agg
-        // specs serve unchanged — no layout remap applies to partials
-        let mut merger = HashAggregator::new(star.aggs.clone());
-        if let Some(p) = st.partial.take() {
-            merger.merge_partial(&p)?;
-        }
-        let received = st.mailbox.take_stream(StreamTag::PartialAgg, num_jen - 1)?;
-        for p in &received.batches {
-            merger.merge_partial(p)?;
-        }
-        let final_batch = merger.finish();
-        agg_span.done(0, final_batch.num_rows() as u64);
-        let db0 = Endpoint::Db(DbWorkerId(0));
-        st.mailbox
-            .send_data(db0, StreamTag::FinalResult, &final_batch)?;
-        st.mailbox.send_eos(db0, StreamTag::FinalResult)
-    });
-    db.step(seq + 2, move |w, st| {
-        if w != 0 {
-            return Ok(());
-        }
-        let got = st.mailbox.take_stream(StreamTag::FinalResult, 1)?;
-        let schema = HashAggregator::new(star.aggs.clone())
-            .finish()
-            .schema()
-            .clone();
-        st.result = Some(if got.batches.is_empty() {
-            Batch::empty(schema)
-        } else {
-            Batch::concat(schema, &got.batches)?
-        });
-        Ok(())
-    });
-    Ok(())
-}
-
-/// Pull the final result off DB worker 0's state after a driver run.
-pub(crate) fn take_star_result(mut db_states: Vec<MwDb>) -> Result<Batch> {
-    db_states
-        .first_mut()
-        .and_then(|st| st.result.take())
-        .ok_or_else(|| HybridError::exec("no final result on DB worker 0"))
+    (
+        star.post_predicate.as_ref().map(remap),
+        remap(&star.group_expr),
+        remap_agg_columns(&star.aggs, |c| map[c]),
+    )
 }
 
 /// Uniform data-movement meters every multiway shuffle send reports
@@ -523,64 +346,18 @@ pub(crate) fn meter_shuffle(sys: &HybridSystem, rows: u64, bytes: u64) {
     sys.metrics.add("multiway.shuffle.bytes", bytes);
 }
 
-/// Per-axis heavy-hitter foreign keys of the filtered fact table, gated
-/// exactly like the two-table [`crate::skew::SaltRouter::detect`]: a
-/// `salt_buckets` setting and ≥ 2 JEN workers, strided block sampling,
-/// one [`SpaceSaving`] sketch per axis, fair-share threshold. Empty sets
-/// mean "no salting on this axis".
+/// Per-axis heavy-hitter foreign keys of the filtered fact table, from the
+/// same sampler as the two-table [`crate::skew::SaltRouter::detect`].
+/// Empty sets mean "no salting on this axis".
 pub(crate) fn detect_hot_fact_keys(
     sys: &HybridSystem,
     star: &StarQuery,
 ) -> Result<Vec<HashSet<i64>>> {
-    let k = star.dims.len();
-    let cold = vec![HashSet::new(); k];
-    if sys.config.salt_buckets.is_none() {
-        return Ok(cold);
-    }
-    let n = sys.config.jen_workers;
-    if n < 2 {
-        return Ok(cold);
-    }
-    let meta = sys.coordinator.lookup_table(&star.fact_table)?;
-    let blocks = sys.hdfs.read().file_blocks(&meta.path)?;
-    let picked = SALT_SAMPLE_BLOCKS.clamp(1, blocks.len().max(1));
-    let mut sketches: Vec<SpaceSaving> =
-        (0..k).map(|_| SpaceSaving::new(SKETCH_CAPACITY)).collect();
-    for i in 0..picked {
-        let idx = i * blocks.len() / picked;
-        let reader = sys.jen_workers[0].datanode();
-        let bytes = sys
-            .hdfs
-            .read()
-            .read_block_into(blocks[idx].id, reader, &sys.metrics)?;
-        let decoded = decode(meta.format, &meta.schema, &bytes, None)?;
-        let mask = star.fact_pred.eval_predicate(&decoded.batch)?;
-        let survivors = decoded.batch.filter(&mask)?.project(&star.fact_proj)?;
-        for (axis, sketch) in sketches.iter_mut().enumerate() {
-            for &key in survivors.column(star.fact_keys[axis])?.keys_i64()?.iter() {
-                sketch.offer(key);
-            }
-        }
-    }
-    // every axis sees the same sampled rows; meter the sample once
-    sys.metrics
-        .add("multiway.salt.sampled_rows", sketches[0].total());
-    let hot: Vec<HashSet<i64>> = sketches
-        .into_iter()
-        .map(|sketch| {
-            let threshold = (sketch.total() / n as u64).max(MIN_HOT_COUNT);
-            sketch
-                .heavy_hitters(threshold)
-                .into_iter()
-                .map(|(key, _)| key)
-                .collect()
-        })
-        .collect();
-    sys.metrics.add(
-        "multiway.salt.hot_keys",
-        hot.iter().map(|h| h.len() as u64).sum(),
-    );
-    Ok(hot)
+    let (table, pred, proj) = (&star.fact_table, &star.fact_pred, &star.fact_proj);
+    Ok(
+        sample_hot_keys(sys, "multiway.salt", table, pred, proj, &star.fact_keys)?
+            .unwrap_or_else(|| vec![HashSet::new(); star.dims.len()]),
+    )
 }
 
 #[cfg(test)]
@@ -678,7 +455,7 @@ mod tests {
         };
         let map = physical_map(&q, &[1, 0]);
         assert_eq!(
-            remap_aggs(&q, &[1, 0]),
+            physical_exprs(&q, &[1, 0]).2,
             vec![AggSpec::Count, AggSpec::SumI64(map[4])]
         );
     }

@@ -75,35 +75,12 @@ impl HybridQuery {
                 self.hdfs_proj.len()
             )));
         }
-        let joined_width = self.db_proj.len() + self.hdfs_proj.len();
-        for agg in &self.aggs {
-            let col = match *agg {
-                AggSpec::Count => None,
-                AggSpec::SumI64(c) | AggSpec::MinI64(c) | AggSpec::MaxI64(c) => Some(c),
-            };
-            if let Some(c) = col {
-                if c >= joined_width {
-                    return Err(HybridError::config(format!(
-                        "aggregate references column {c}, joined width is {joined_width}"
-                    )));
-                }
-            }
-        }
-        for (name, expr) in [
-            ("post_predicate", self.post_predicate.as_ref()),
-            ("group_expr", Some(&self.group_expr)),
-        ] {
-            if let Some(e) = expr {
-                if let Some(&max) = e.referenced_columns().iter().next_back() {
-                    if max >= joined_width {
-                        return Err(HybridError::config(format!(
-                            "{name} references column {max}, joined width is {joined_width}"
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(())
+        check_joined_exprs(
+            self.db_proj.len() + self.hdfs_proj.len(),
+            self.post_predicate.as_ref(),
+            &self.group_expr,
+            &self.aggs,
+        )
     }
 
     /// Base-schema column index of `T`'s join key.
@@ -116,21 +93,24 @@ impl HybridQuery {
         self.hdfs_proj[self.hdfs_key]
     }
 
-    /// Rewrite a canonical (`T' ++ L'`) expression for the physical layout
+    /// Where canonical (`T' ++ L'`) column `c` sits in the physical layout
     /// `L' ++ T'` produced by HDFS-side joins that build on the HDFS data.
+    fn hdfs_layout_col(&self, c: usize) -> Option<usize> {
+        let (dbw, hw) = (self.db_proj.len(), self.hdfs_proj.len());
+        if c < dbw {
+            Some(c + hw) // database column: shifted past the HDFS columns
+        } else if c < dbw + hw {
+            Some(c - dbw) // HDFS column: moved to the front
+        } else {
+            None
+        }
+    }
+
+    /// Rewrite a canonical (`T' ++ L'`) expression for the `L' ++ T'`
+    /// layout.
     pub fn remap_joined_expr(&self, expr: &Expr) -> Expr {
-        let dbw = self.db_proj.len();
-        let hw = self.hdfs_proj.len();
-        expr.remap_columns(&|c| {
-            if c < dbw {
-                Some(c + hw) // database column: shifted past the HDFS columns
-            } else if c < dbw + hw {
-                Some(c - dbw) // HDFS column: moved to the front
-            } else {
-                None
-            }
-        })
-        .expect("validated expressions stay in bounds")
+        expr.remap_columns(&|c| self.hdfs_layout_col(c))
+            .expect("validated expressions stay in bounds")
     }
 
     /// `post_predicate` for the `L' ++ T'` layout.
@@ -145,25 +125,64 @@ impl HybridQuery {
         self.remap_joined_expr(&self.group_expr)
     }
 
-    /// Aggregates for the `L' ++ T'` layout: column-bearing aggregate
-    /// functions are rewritten through the same side swap as the
-    /// expressions. (COUNT carries no column and is unchanged — which is
-    /// why the paper's count(*)-only workload can never expose a layout
-    /// mix-up; the multi-aggregate integration test can.)
+    /// Aggregates for the `L' ++ T'` layout. (COUNT carries no column —
+    /// which is why the paper's count(*)-only workload can never expose a
+    /// layout mix-up; the multi-aggregate integration test can.)
     pub fn aggs_hdfs_layout(&self) -> Vec<AggSpec> {
-        let dbw = self.db_proj.len();
-        let hw = self.hdfs_proj.len();
-        let remap = |c: usize| if c < dbw { c + hw } else { c - dbw };
-        self.aggs
-            .iter()
-            .map(|a| match *a {
-                AggSpec::Count => AggSpec::Count,
-                AggSpec::SumI64(c) => AggSpec::SumI64(remap(c)),
-                AggSpec::MinI64(c) => AggSpec::MinI64(remap(c)),
-                AggSpec::MaxI64(c) => AggSpec::MaxI64(remap(c)),
-            })
-            .collect()
+        remap_agg_columns(&self.aggs, |c| {
+            self.hdfs_layout_col(c)
+                .expect("validated aggregates stay in bounds")
+        })
     }
+}
+
+/// Aggregates rewritten through a column map.
+pub(crate) fn remap_agg_columns(aggs: &[AggSpec], map: impl Fn(usize) -> usize) -> Vec<AggSpec> {
+    aggs.iter()
+        .map(|a| match *a {
+            AggSpec::Count => AggSpec::Count,
+            AggSpec::SumI64(c) => AggSpec::SumI64(map(c)),
+            AggSpec::MinI64(c) => AggSpec::MinI64(map(c)),
+            AggSpec::MaxI64(c) => AggSpec::MaxI64(map(c)),
+        })
+        .collect()
+}
+
+/// Bounds-check the expressions a query evaluates over its joined layout
+/// (binary `T' ++ L'` or star `fact' ++ dim_0' ++ …`) of `joined_width`
+/// columns.
+pub(crate) fn check_joined_exprs(
+    joined_width: usize,
+    post_predicate: Option<&Expr>,
+    group_expr: &Expr,
+    aggs: &[AggSpec],
+) -> Result<()> {
+    for agg in aggs {
+        let col = match *agg {
+            AggSpec::Count => None,
+            AggSpec::SumI64(c) | AggSpec::MinI64(c) | AggSpec::MaxI64(c) => Some(c),
+        };
+        if let Some(c) = col {
+            if c >= joined_width {
+                return Err(HybridError::config(format!(
+                    "aggregate references column {c}, joined width is {joined_width}"
+                )));
+            }
+        }
+    }
+    for (name, expr) in [
+        ("post_predicate", post_predicate),
+        ("group_expr", Some(group_expr)),
+    ] {
+        if let Some(max) = expr.and_then(|e| e.referenced_columns().last().copied()) {
+            if max >= joined_width {
+                return Err(HybridError::config(format!(
+                    "{name} references column {max}, joined width is {joined_width}"
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

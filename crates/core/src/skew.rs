@@ -28,22 +28,82 @@ use crate::query::HybridQuery;
 use crate::system::HybridSystem;
 use hybrid_common::batch::{Batch, SelectionVector};
 use hybrid_common::error::Result;
+use hybrid_common::expr::Expr;
 use hybrid_common::hash::agreed_shuffle_partition;
 use hybrid_common::sketch::SpaceSaving;
 use hybrid_storage::decode;
 use std::collections::{HashMap, HashSet};
 
 /// How many HDFS blocks the detector decodes (strided through the file).
-/// Shared with the multiway detector so both samplers see the same slice
-/// of the file.
-pub(crate) const SALT_SAMPLE_BLOCKS: usize = 16;
+const SALT_SAMPLE_BLOCKS: usize = 16;
 
 /// Sketch width — far above the handful of keys that can matter.
-pub(crate) const SKETCH_CAPACITY: usize = 64;
+const SKETCH_CAPACITY: usize = 64;
 
 /// Noise floor: a key must have at least this many guaranteed sampled
 /// occurrences before salting it, however small the sample.
-pub(crate) const MIN_HOT_COUNT: u64 = 16;
+const MIN_HOT_COUNT: u64 = 16;
+
+/// Heavy hitters among the `key_cols` of an HDFS table's filtered,
+/// projected rows: the detector behind every salted plan, binary or star.
+/// Decodes [`SALT_SAMPLE_BLOCKS`] strided blocks, feeds each key column
+/// through its own [`SpaceSaving`] sketch, and keeps the keys whose
+/// guaranteed count reaches a fair worker share of the sample; meters
+/// `{meter}.sampled_rows` and `{meter}.hot_keys`. `None` when salting is
+/// off (no `salt_buckets`, or fewer than 2 JEN workers).
+pub(crate) fn sample_hot_keys(
+    sys: &HybridSystem,
+    meter: &str,
+    table: &str,
+    pred: &Expr,
+    proj: &[usize],
+    key_cols: &[usize],
+) -> Result<Option<Vec<HashSet<i64>>>> {
+    let n = sys.config.jen_workers;
+    if sys.config.salt_buckets.is_none() || n < 2 {
+        return Ok(None);
+    }
+    let meta = sys.coordinator.lookup_table(table)?;
+    let blocks = sys.hdfs.read().file_blocks(&meta.path)?;
+    let picked = SALT_SAMPLE_BLOCKS.clamp(1, blocks.len().max(1));
+    let mut sketches: Vec<SpaceSaving> = key_cols
+        .iter()
+        .map(|_| SpaceSaving::new(SKETCH_CAPACITY))
+        .collect();
+    let mut sampled = 0u64;
+    for i in 0..picked {
+        let idx = i * blocks.len() / picked;
+        let reader = sys.jen_workers[0].datanode();
+        let bytes = sys
+            .hdfs
+            .read()
+            .read_block_into(blocks[idx].id, reader, &sys.metrics)?;
+        let decoded = decode(meta.format, &meta.schema, &bytes, None)?;
+        let mask = pred.eval_predicate(&decoded.batch)?;
+        let survivors = decoded.batch.filter(&mask)?.project(proj)?;
+        sampled += survivors.num_rows() as u64;
+        for (&col, sketch) in key_cols.iter().zip(&mut sketches) {
+            for &key in survivors.column(col)?.keys_i64()?.iter() {
+                sketch.offer(key);
+            }
+        }
+    }
+    let threshold = (sampled / n as u64).max(MIN_HOT_COUNT);
+    let hot: Vec<HashSet<i64>> = sketches
+        .into_iter()
+        .map(|sketch| {
+            sketch
+                .heavy_hitters(threshold)
+                .into_iter()
+                .map(|(key, _)| key)
+                .collect()
+        })
+        .collect();
+    sys.metrics.add(&format!("{meter}.sampled_rows"), sampled);
+    let hot_keys = hot.iter().map(|h| h.len() as u64).sum();
+    sys.metrics.add(&format!("{meter}.hot_keys"), hot_keys);
+    Ok(Some(hot))
+}
 
 /// Routing table for one query's salted shuffle.
 #[derive(Debug, Clone)]
@@ -59,47 +119,16 @@ impl SaltRouter {
     /// `config.salt_buckets` is set and at least one heavy hitter clears
     /// the fair-share threshold. Returns `None` (zero overhead) otherwise.
     pub fn detect(sys: &HybridSystem, query: &HybridQuery) -> Result<Option<SaltRouter>> {
-        let Some(f) = sys.config.salt_buckets else {
+        let (table, pred, proj) = (&query.hdfs_table, &query.hdfs_pred, &query.hdfs_proj);
+        let Some(mut hot) =
+            sample_hot_keys(sys, "core.salt", table, pred, proj, &[query.hdfs_key])?
+        else {
             return Ok(None);
         };
+        let hot = hot.pop().expect("one key column");
+        let f = sys.config.salt_buckets.expect("sampled, so salting is on");
         let n = sys.config.jen_workers;
-        if n < 2 {
-            return Ok(None);
-        }
-        let meta = sys.coordinator.lookup_table(&query.hdfs_table)?;
-        let blocks = sys.hdfs.read().file_blocks(&meta.path)?;
-        let picked = SALT_SAMPLE_BLOCKS.clamp(1, blocks.len().max(1));
-        let mut sketch = SpaceSaving::new(SKETCH_CAPACITY);
-        for i in 0..picked {
-            let idx = i * blocks.len() / picked;
-            let reader = sys.jen_workers[0].datanode();
-            let bytes = sys
-                .hdfs
-                .read()
-                .read_block_into(blocks[idx].id, reader, &sys.metrics)?;
-            let decoded = decode(meta.format, &meta.schema, &bytes, None)?;
-            let mask = query.hdfs_pred.eval_predicate(&decoded.batch)?;
-            let survivors = decoded.batch.filter(&mask)?.project(&query.hdfs_proj)?;
-            for &key in survivors.column(query.hdfs_key)?.keys_i64()?.iter() {
-                sketch.offer(key);
-            }
-        }
-        let threshold = (sketch.total() / n as u64).max(MIN_HOT_COUNT);
-        let hot: HashSet<i64> = sketch
-            .heavy_hitters(threshold)
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        sys.metrics.add("core.salt.sampled_rows", sketch.total());
-        sys.metrics.add("core.salt.hot_keys", hot.len() as u64);
-        if hot.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(SaltRouter {
-            num_jen: n,
-            fanout: f.min(n),
-            hot,
-        }))
+        Ok((!hot.is_empty()).then(|| SaltRouter::with_hot_keys(hot, n, f)))
     }
 
     /// A router over an explicit hot-key set (tests, tooling).

@@ -30,7 +30,7 @@ use hybrid_service::{
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -81,9 +81,24 @@ struct Shared {
     auth: HashMap<String, (String, TenantId)>,
     cfg: ServerConfig,
     shutdown: AtomicBool,
-    /// Stream clones of live connections, so shutdown can unblock their
-    /// reads immediately instead of waiting out a watchdog tick.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Stream clones of live connections by connection id, so shutdown
+    /// can unblock their reads immediately instead of waiting out a
+    /// watchdog tick. Each handler removes its own entry on exit.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    next_conn: AtomicU64,
+}
+
+/// Removes one connection's stream clone from [`Shared::conns`] when its
+/// handler exits (or never starts), so the map holds live sockets only.
+struct ConnGuard {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        self.shared.conns.lock().remove(&self.id);
+    }
 }
 
 /// A running front door. Dropping (or calling [`JoinServer::shutdown`])
@@ -117,7 +132,8 @@ impl JoinServer {
             auth,
             cfg,
             shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(0),
         });
         let handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
@@ -140,6 +156,11 @@ impl JoinServer {
         self.addr
     }
 
+    /// Connections whose handler is still running.
+    pub fn live_connections(&self) -> usize {
+        self.shared.conns.lock().len()
+    }
+
     /// Stop accepting, sever live connections, join all threads. Idempotent.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
@@ -153,7 +174,7 @@ impl JoinServer {
         }
         // Sever live connections so handlers fail out of any blocking
         // read/write immediately.
-        for conn in self.shared.conns.lock().drain(..) {
+        for (_, conn) in self.shared.conns.lock().drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         let joins: Vec<_> = self.handlers.lock().drain(..).collect();
@@ -184,13 +205,23 @@ fn accept_loop(
             // kill the loop.
             Err(_) => continue,
         };
+        let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().push(clone);
+            shared.conns.lock().insert(id, clone);
         }
+        // moved into the handler, so the entry goes when the handler does
+        // (or right here, if the thread cannot be spawned)
+        let guard = ConnGuard {
+            shared: Arc::clone(&shared),
+            id,
+        };
         let shared2 = Arc::clone(&shared);
         let spawned = thread::Builder::new()
             .name("hwjn-conn".into())
-            .spawn(move || handle_conn(stream, shared2));
+            .spawn(move || {
+                let _guard = guard;
+                handle_conn(stream, shared2)
+            });
         let mut guard = handlers.lock();
         // keep the handle list bounded across many short-lived connections
         guard.retain(|h| !h.is_finished());

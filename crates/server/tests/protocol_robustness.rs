@@ -330,3 +330,27 @@ fn shutdown_severs_live_connections_and_joins_threads() {
         .unwrap_or(true));
     let _ = w;
 }
+
+#[test]
+fn closed_connections_release_their_server_side_sockets() {
+    let (server, _svc, w) = front_door();
+    let addr = server.local_addr().to_string();
+
+    // authenticate, then hang up: each handler exits on the closed socket
+    // and must take its stream clone with it, or the listener leaks one
+    // file descriptor per connection until it can no longer accept
+    for _ in 0..300 {
+        drop(JoinClient::connect(&addr, "acme", "tok-acme").unwrap());
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while server.live_connections() > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        server.live_connections(),
+        0,
+        "closed connections still pinned"
+    );
+
+    assert_still_serving(&addr, &w);
+}

@@ -305,7 +305,7 @@ fn vanished_client_releases_slot_grant_and_namespace() {
         result_cache_capacity: 0,
         ..ServiceConfig::default()
     };
-    let (server, svc, w) = front_door(service, &one_tenant());
+    let (mut server, svc, w) = front_door(service, &one_tenant());
     let addr = server.local_addr().to_string();
 
     // several clients authenticate, fire an uncached query, and vanish
@@ -331,17 +331,21 @@ fn vanished_client_releases_slot_grant_and_namespace() {
         drop(s); // gone before the stream starts
     }
 
-    // the server must finish (or abandon) the orphans and release every
-    // slot, grant, and session on its own
-    assert_zero_residency(&svc);
-    assert_conservation(&svc);
-
-    // and still serve correct results afterwards
+    // the server still serves correct results alongside the orphans
     let mut client = JoinClient::connect(&addr, "acme", "tok-acme").unwrap();
     let expected = run_reference(&w.t, &w.l, &w.query()).unwrap();
     let reply = client.query(w.query(), None, None).unwrap();
     assert_eq!(reply.rows, expected);
-    drop(server);
+    drop(client);
+
+    // and finishes (or abandons) the orphans, releasing every slot, grant,
+    // and session on its own. An orphan can still be sampling when the
+    // service's load already reads (0, 0), so wait for its handler
+    // instead: shutdown joins every handler, and a handler returns only
+    // after the service has counted its query's terminal outcome.
+    server.shutdown();
+    assert_zero_residency(&svc);
+    assert_conservation(&svc);
 }
 
 #[test]

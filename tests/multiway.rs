@@ -29,7 +29,12 @@ mod util;
 
 use std::collections::BTreeMap;
 
-use hybrid_core::{batch_checksum, run_star, run_star_reference, HybridSystem, MultiwayPlanner};
+use hybrid_common::expr::Expr;
+use hybrid_common::ops::AggSpec;
+use hybrid_core::{
+    batch_checksum, run, run_star, run_star_reference, HybridQuery, HybridSystem, JoinAlgorithm,
+    MultiwayPlanner,
+};
 use hybrid_datagen::{KeySkew, Workload, WorkloadSpec};
 use hybrid_storage::FileFormat;
 use util::{grid_from_env, loaded_system, test_config};
@@ -221,13 +226,52 @@ fn multiway_snapshots_are_thread_count_invariant() {
 
 /// The one-dimension degenerate star is exactly a binary join; both
 /// planner families must still agree with the reference (the hypercube
-/// collapses to a repartition over share vector `[n]`).
+/// collapses to a repartition over share vector `[n]`) and with the binary
+/// executor running the equivalent two-table query.
 #[test]
 fn single_dimension_star_degenerates_cleanly() {
     let workload = star_workload(1);
     let star = workload.star_query();
     let expected = run_star_reference(&workload.l, &workload.dims, &star).unwrap();
     assert!(expected.num_rows() > 0);
+
+    // The dimension is `T`, the fact is `L`: star column c of
+    // `fact' ++ dim'` sits at binary column `to_binary(c)` of `T' ++ L'`.
+    let (fact_w, dim_w) = (star.fact_proj.len(), star.dims[0].proj.len());
+    let to_binary = |c: usize| if c < fact_w { c + dim_w } else { c - fact_w };
+    let remap = |e: &Expr| e.remap_columns(&|c| Some(to_binary(c))).unwrap();
+    let binary = HybridQuery {
+        db_table: star.dims[0].table.clone(),
+        hdfs_table: star.fact_table.clone(),
+        db_pred: star.dims[0].pred.clone(),
+        db_proj: star.dims[0].proj.clone(),
+        db_key: star.dims[0].key,
+        hdfs_pred: star.fact_pred.clone(),
+        hdfs_proj: star.fact_proj.clone(),
+        hdfs_key: star.fact_keys[0],
+        post_predicate: star.post_predicate.as_ref().map(remap),
+        group_expr: remap(&star.group_expr),
+        aggs: star
+            .aggs
+            .iter()
+            .map(|a| match *a {
+                AggSpec::Count => AggSpec::Count,
+                AggSpec::SumI64(c) => AggSpec::SumI64(to_binary(c)),
+                AggSpec::MinI64(c) => AggSpec::MinI64(to_binary(c)),
+                AggSpec::MaxI64(c) => AggSpec::MaxI64(to_binary(c)),
+            })
+            .collect(),
+        ..workload.query()
+    };
+    for alg in [
+        JoinAlgorithm::Repartition { bloom: false },
+        JoinAlgorithm::Broadcast,
+    ] {
+        let mut sys = system(&workload, FileFormat::Columnar, 1, None);
+        let out = run(&mut sys, &binary, alg).unwrap();
+        assert_eq!(out.result, expected, "binary {alg}");
+    }
+
     for planner in [MultiwayPlanner::Cascade, MultiwayPlanner::Hypercube] {
         let mut sys = system(&workload, FileFormat::Columnar, 1, None);
         let out = run_star(&mut sys, &star, planner).unwrap();
