@@ -219,6 +219,43 @@ impl Column {
         Ok(())
     }
 
+    /// Gather `refs` — `(part, row)` pairs — from `parts`, columns of type
+    /// `dt` split across batches (a hash join's build side arrives as many).
+    pub(crate) fn gather_parts(
+        dt: DataType,
+        parts: &[&Column],
+        refs: &[(u32, u32)],
+    ) -> Result<Column> {
+        let mut out = Column::with_capacity(dt, refs.len());
+        match &mut out {
+            Column::I32(d) | Column::Date(d) => {
+                let src = parts
+                    .iter()
+                    .map(|c| c.as_i32())
+                    .collect::<Result<Vec<_>>>()?;
+                d.extend(refs.iter().map(|&(p, r)| src[p as usize][r as usize]));
+            }
+            Column::I64(d) => {
+                let src = parts
+                    .iter()
+                    .map(|c| c.as_i64())
+                    .collect::<Result<Vec<_>>>()?;
+                d.extend(refs.iter().map(|&(p, r)| src[p as usize][r as usize]));
+            }
+            Column::Utf8(d) => {
+                let src = parts
+                    .iter()
+                    .map(|c| c.as_utf8())
+                    .collect::<Result<Vec<_>>>()?;
+                d.extend(
+                    refs.iter()
+                        .map(|&(p, r)| src[p as usize][r as usize].clone()),
+                );
+            }
+        }
+        Ok(out)
+    }
+
     /// Append all of `src` (same type) onto `self`.
     pub fn extend_from(&mut self, src: &Column) -> Result<()> {
         match (self, src) {
@@ -256,8 +293,19 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Build a batch, validating column count, types, and lengths.
+    /// Build a batch, validating column count, types, and lengths. The row
+    /// count is the first column's length, so a batch without columns is
+    /// empty.
     pub fn new(schema: Schema, columns: Vec<Column>) -> Result<Batch> {
+        let rows = columns.first().map_or(0, Column::len);
+        Batch::with_rows(schema, columns, rows)
+    }
+
+    /// Build a batch of exactly `rows` rows. Unlike [`Batch::new`] this
+    /// keeps the row count of a batch with no columns — the narrow gather
+    /// for an expression that reads none (`count(*)`, a literal group or
+    /// predicate) still has one row per joined pair.
+    pub(crate) fn with_rows(schema: Schema, columns: Vec<Column>, rows: usize) -> Result<Batch> {
         if schema.len() != columns.len() {
             return Err(HybridError::SchemaMismatch(format!(
                 "schema has {} fields but {} columns supplied",
@@ -265,7 +313,6 @@ impl Batch {
                 columns.len()
             )));
         }
-        let rows = columns.first().map_or(0, Column::len);
         for (i, c) in columns.iter().enumerate() {
             let expected = schema.field(i)?.data_type;
             if c.data_type() != expected {
@@ -464,26 +511,6 @@ impl BatchBuilder {
         Ok(())
     }
 
-    /// Append a row made of two source batches side by side (join output).
-    pub fn push_joined(
-        &mut self,
-        left: &Batch,
-        lrow: usize,
-        right: &Batch,
-        rrow: usize,
-    ) -> Result<()> {
-        let lw = left.columns().len();
-        for (i, dst) in self.columns.iter_mut().enumerate() {
-            if i < lw {
-                dst.push_from(&left.columns()[i], lrow)?;
-            } else {
-                dst.push_from(&right.columns()[i - lw], rrow)?;
-            }
-        }
-        self.rows += 1;
-        Ok(())
-    }
-
     pub fn num_rows(&self) -> usize {
         self.rows
     }
@@ -570,16 +597,25 @@ mod tests {
     }
 
     #[test]
-    fn builder_joins_rows() {
-        let left = b();
-        let right = b();
-        let joined_schema = left.schema().join(right.schema());
-        let mut builder = BatchBuilder::new(joined_schema);
-        builder.push_joined(&left, 0, &right, 3).unwrap();
-        let out = builder.finish();
-        assert_eq!(out.num_rows(), 1);
-        assert_eq!(out.row(0)[0], Datum::I32(1));
-        assert_eq!(out.row(0)[3], Datum::I32(4));
+    fn with_rows_keeps_the_count_of_a_columnless_batch() {
+        let none = Schema::from_pairs(&[]);
+        assert_eq!(Batch::new(none.clone(), vec![]).unwrap().num_rows(), 0);
+        assert_eq!(Batch::with_rows(none, vec![], 3).unwrap().num_rows(), 3);
+        let one = Schema::from_pairs(&[("k", DataType::I32)]);
+        assert!(Batch::with_rows(one, vec![Column::I32(vec![1])], 2).is_err());
+    }
+
+    #[test]
+    fn gather_parts_reads_across_batches() {
+        let a = Column::Utf8(vec!["a".into(), "b".into()]);
+        let b = Column::Utf8(vec!["c".into()]);
+        let got =
+            Column::gather_parts(DataType::Utf8, &[&a, &b], &[(1, 0), (0, 1), (1, 0)]).unwrap();
+        assert_eq!(got, Column::Utf8(vec!["c".into(), "b".into(), "c".into()]));
+        let x = Column::Date(vec![5, 6]);
+        let got = Column::gather_parts(DataType::Date, &[&x], &[(0, 1)]).unwrap();
+        assert_eq!(got, Column::Date(vec![6]));
+        assert!(Column::gather_parts(DataType::I64, &[&x], &[]).is_err());
     }
 
     #[test]

@@ -285,6 +285,14 @@ impl Expr {
             Expr::Add(l, r) => arith_eval(l, r, batch, |a, b| a.wrapping_add(b)),
             Expr::Sub(l, r) => arith_eval(l, r, batch, |a, b| a.wrapping_sub(b)),
             Expr::ExtractGroup(e) => {
+                // a column is read in place rather than cloned first
+                if let Expr::Col(i) = e.as_ref() {
+                    if let Column::Utf8(strs) = batch.column(*i)? {
+                        return Ok(EvalCol::I64(
+                            strs.iter().map(|s| extract_group(s)).collect(),
+                        ));
+                    }
+                }
                 let v = e.eval(batch)?;
                 match v {
                     EvalCol::Str(strs) => Ok(EvalCol::I64(

@@ -9,7 +9,7 @@
 use crate::batch::{Batch, Column};
 use crate::datum::DataType;
 use crate::error::{HybridError, Result};
-use crate::schema::Schema;
+use crate::schema::{Field, Schema};
 use std::collections::HashMap;
 
 /// Supported aggregate functions.
@@ -25,6 +25,24 @@ pub enum AggSpec {
 }
 
 impl AggSpec {
+    /// The input column this aggregate reads (`None` for `count(*)`).
+    pub fn column(self) -> Option<usize> {
+        match self {
+            AggSpec::Count => None,
+            AggSpec::SumI64(c) | AggSpec::MinI64(c) | AggSpec::MaxI64(c) => Some(c),
+        }
+    }
+
+    /// The same aggregate over input column `f(column)`.
+    pub fn map_column(self, f: impl Fn(usize) -> usize) -> AggSpec {
+        match self {
+            AggSpec::Count => AggSpec::Count,
+            AggSpec::SumI64(c) => AggSpec::SumI64(f(c)),
+            AggSpec::MinI64(c) => AggSpec::MinI64(f(c)),
+            AggSpec::MaxI64(c) => AggSpec::MaxI64(f(c)),
+        }
+    }
+
     fn init(self) -> i64 {
         match self {
             AggSpec::Count => 0,
@@ -126,11 +144,9 @@ impl HashAggregator {
     pub fn finish(self) -> Batch {
         let mut entries: Vec<(i64, Vec<i64>)> = self.groups.into_iter().collect();
         entries.sort_unstable_by_key(|(g, _)| *g);
-        let mut fields = vec![("group", DataType::I64)];
-        for (i, _) in self.aggs.iter().enumerate() {
-            fields.push((["agg0", "agg1", "agg2", "agg3"][i.min(3)], DataType::I64));
-        }
-        let schema = Schema::from_pairs(&fields);
+        let mut fields = vec![Field::new("group", DataType::I64)];
+        fields.extend((0..self.aggs.len()).map(|i| Field::new(format!("agg{i}"), DataType::I64)));
+        let schema = Schema::new(fields);
         let mut cols: Vec<Vec<i64>> = vec![Vec::with_capacity(entries.len()); 1 + self.aggs.len()];
         for (g, accs) in entries {
             cols[0].push(g);
@@ -213,6 +229,21 @@ mod tests {
     fn mismatched_group_keys_error() {
         let mut agg = HashAggregator::new(vec![AggSpec::Count]);
         assert!(agg.update(&[1, 2], &batch(&[0])).is_err());
+    }
+
+    #[test]
+    fn every_aggregate_column_has_its_own_name() {
+        let mut agg = HashAggregator::new(vec![AggSpec::Count; 5]);
+        agg.update(&[1], &batch(&[0])).unwrap();
+        let out = agg.finish();
+        let names: std::collections::BTreeSet<&str> = out
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(names.len(), 6);
+        assert_eq!(out.schema().index_of("agg4").unwrap(), 5);
     }
 
     #[test]

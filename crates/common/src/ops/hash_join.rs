@@ -5,7 +5,7 @@
 //! the filtered HDFS data because it arrives first; the DB optimizer builds
 //! on whichever side is smaller).
 
-use crate::batch::{Batch, BatchBuilder};
+use crate::batch::{Batch, Column};
 use crate::error::{HybridError, Result};
 use crate::schema::Schema;
 use std::collections::HashMap;
@@ -34,10 +34,35 @@ pub struct HashJoiner {
     table: HashMap<i64, Vec<(u32, u32)>>,
     batches: Vec<Batch>,
     rows: usize,
-    /// Optional cap on buffered build rows (the paper's JEN "requires that
-    /// all data fit in memory"; exceeding the cap is a clean error unless
-    /// the caller handles spilling).
-    memory_limit_rows: Option<usize>,
+}
+
+/// The matches of one probe batch, in probe-row order: build row
+/// `build[i]` (batch index, row index) joins probe row `probe[i]`.
+#[derive(Debug, Default)]
+pub(crate) struct JoinPairs {
+    build: Vec<(u32, u32)>,
+    probe: Vec<u32>,
+}
+
+impl JoinPairs {
+    pub(crate) fn len(&self) -> usize {
+        self.probe.len()
+    }
+
+    /// Keep the pairs whose `mask` entry is true, in order. Branch-free
+    /// like [`SelectionVector::from_mask`](crate::batch::SelectionVector):
+    /// every pair is written, and the cursor advances by the mask bit.
+    pub(crate) fn retain(&mut self, mask: &[bool]) {
+        debug_assert_eq!(mask.len(), self.len());
+        let mut k = 0usize;
+        for (i, &keep) in mask.iter().enumerate() {
+            self.build[k] = self.build[i];
+            self.probe[k] = self.probe[i];
+            k += keep as usize;
+        }
+        self.build.truncate(k);
+        self.probe.truncate(k);
+    }
 }
 
 impl HashJoiner {
@@ -50,19 +75,17 @@ impl HashJoiner {
             table: HashMap::new(),
             batches: Vec::new(),
             rows: 0,
-            memory_limit_rows: None,
         }
-    }
-
-    /// Enforce a build-side row cap (used by failure/spill tests).
-    pub fn with_memory_limit(mut self, rows: usize) -> HashJoiner {
-        self.memory_limit_rows = Some(rows);
-        self
     }
 
     /// Number of build rows indexed so far.
     pub fn build_rows(&self) -> usize {
         self.rows
+    }
+
+    /// Schema of the build side, the left part of every joined row.
+    pub fn build_schema(&self) -> &Schema {
+        &self.build_schema
     }
 
     /// Add a build-side batch (may be called many times as shuffled data
@@ -72,13 +95,6 @@ impl HashJoiner {
             return Err(HybridError::SchemaMismatch(
                 "build batch schema differs from joiner's".into(),
             ));
-        }
-        if let Some(limit) = self.memory_limit_rows {
-            if self.rows + batch.num_rows() > limit {
-                return Err(HybridError::exec(format!(
-                    "hash join build side exceeds memory limit of {limit} rows"
-                )));
-            }
         }
         let key_col = batch.column(self.key_col)?;
         let batch_idx = self.batches.len() as u32;
@@ -98,18 +114,46 @@ impl HashJoiner {
     ///
     /// `probe_key_col` indexes into the probe batch.
     pub fn probe(&self, probe: &Batch, probe_key_col: usize) -> Result<Batch> {
-        let out_schema = self.build_schema.join(probe.schema());
-        let mut out = BatchBuilder::new(out_schema);
-        let keys = probe.column(probe_key_col)?;
-        for prow in 0..probe.num_rows() {
-            let key = keys.key_at(prow)?;
-            if let Some(matches) = self.table.get(&key) {
-                for &(bi, brow) in matches {
-                    out.push_joined(&self.batches[bi as usize], brow as usize, probe, prow)?;
-                }
+        let pairs = self.probe_pairs(probe, probe_key_col)?;
+        let every: Vec<usize> = (0..self.build_schema.len() + probe.schema().len()).collect();
+        self.gather(&pairs, probe, &every)
+    }
+
+    /// The probe loop: every matching `(build row, probe row)` pair, probe
+    /// rows outer and each key's build rows in insertion order inner.
+    pub(crate) fn probe_pairs(&self, probe: &Batch, probe_key_col: usize) -> Result<JoinPairs> {
+        let keys = probe.column(probe_key_col)?.keys_i64()?;
+        let mut pairs = JoinPairs::default();
+        for (prow, key) in keys.iter().enumerate() {
+            if let Some(matches) = self.table.get(key) {
+                pairs.build.extend_from_slice(matches);
+                pairs
+                    .probe
+                    .extend(std::iter::repeat(prow as u32).take(matches.len()));
             }
         }
-        Ok(out.finish())
+        Ok(pairs)
+    }
+
+    /// Materialise columns `cols` of the joined layout `build ++ probe` for
+    /// every pair, column at a time. The batch has one row per pair even
+    /// when `cols` is empty.
+    pub(crate) fn gather(&self, pairs: &JoinPairs, probe: &Batch, cols: &[usize]) -> Result<Batch> {
+        let width = self.build_schema.len();
+        let mut fields = Vec::with_capacity(cols.len());
+        let mut columns = Vec::with_capacity(cols.len());
+        for &c in cols {
+            if c < width {
+                let field = self.build_schema.field(c)?;
+                let parts: Vec<&Column> = self.batches.iter().map(|b| &b.columns()[c]).collect();
+                columns.push(Column::gather_parts(field.data_type, &parts, &pairs.build)?);
+                fields.push(field.clone());
+            } else {
+                columns.push(probe.column(c - width)?.take(&pairs.probe));
+                fields.push(probe.schema().field(c - width)?.clone());
+            }
+        }
+        Batch::with_rows(Schema::new(fields), columns, pairs.len())
     }
 
     /// Distinct build keys (used for semi-join shipping in the baseline).
@@ -200,15 +244,6 @@ mod tests {
     fn schema_mismatch_on_build() {
         let mut j = HashJoiner::new(build_batch(&[], &[]).schema().clone(), 0);
         assert!(j.build(probe_batch(&[1], &["x"])).is_err());
-    }
-
-    #[test]
-    fn memory_limit_is_enforced() {
-        let schema = build_batch(&[], &[]).schema().clone();
-        let mut j = HashJoiner::new(schema, 0).with_memory_limit(2);
-        j.build(build_batch(&[1, 2], &[10, 20])).unwrap();
-        let err = j.build(build_batch(&[3], &[30])).unwrap_err();
-        assert!(matches!(err, HybridError::Exec(_)));
     }
 
     #[test]

@@ -9,8 +9,10 @@
 
 pub mod aggregate;
 pub mod hash_join;
+pub mod join_aggregate;
 pub mod partition;
 
 pub use aggregate::{AggSpec, HashAggregator};
 pub use hash_join::HashJoiner;
+pub use join_aggregate::JoinAggregator;
 pub use partition::{partition_by_key, partition_sel};

@@ -17,7 +17,7 @@ use crate::query::HybridQuery;
 use crate::system::HybridSystem;
 use hybrid_common::batch::Batch;
 use hybrid_common::error::Result;
-use hybrid_common::ops::HashJoiner;
+use hybrid_common::ops::{HashJoiner, JoinAggregator};
 use hybrid_common::trace::Stage;
 use hybrid_net::StreamTag;
 
@@ -67,21 +67,18 @@ pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> 
             joiner.build(b)?;
         }
         build_span.done(0, recv_rows);
-        let l_share = Batch::concat(
-            l_src.schema.clone(),
-            &l_src.blocks(sys, query, st, w, None)?,
-        )?;
-        let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
-        let joined = joiner.probe(&l_share, query.hdfs_key)?;
-        probe_span.done(0, l_share.num_rows() as u64);
-        st.partial = Some(partial_aggregate(
-            sys,
-            label,
-            joined,
+        let l_share = l_src.blocks(sys, query, st, w, None)?;
+        let mut sink = JoinAggregator::new(
             query.post_predicate.as_ref(),
             &query.group_expr,
-            query.aggs.clone(),
-        )?);
+            &query.aggs,
+        );
+        let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
+        for block in &l_share {
+            sink.probe(&joiner, block, query.hdfs_key)?;
+        }
+        probe_span.done(0, l_share.iter().map(|b| b.num_rows() as u64).sum());
+        st.partial = Some(partial_aggregate(sys, label, sink, &[])?);
         Ok(())
     });
 

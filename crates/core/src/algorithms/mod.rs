@@ -27,7 +27,9 @@ use hybrid_common::error::{HybridError, Result};
 use hybrid_common::expr::Expr;
 use hybrid_common::hash::agreed_shuffle_partition;
 use hybrid_common::ids::{DbWorkerId, JenWorkerId};
-use hybrid_common::ops::{partition_by_key, partition_sel, AggSpec, HashAggregator};
+use hybrid_common::ops::{
+    partition_by_key, partition_sel, AggSpec, HashAggregator, JoinAggregator,
+};
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
 use hybrid_jen::coordinator::ScanPlan;
@@ -1004,15 +1006,15 @@ pub(crate) fn jen_recv_build(
 }
 
 /// JEN epilogue, second half: receive the DB tuples, probe the joiner built
-/// earlier, apply the post-join predicate, and aggregate partially. The
-/// joined layout is L' ++ T', so the remapped query expressions apply.
+/// earlier, and fold the matches through the post-join predicate into a
+/// partial aggregate. The joined layout is L' ++ T', so the remapped query
+/// expressions apply.
 pub(crate) fn jen_probe_aggregate(
     sys: &HybridSystem,
     query: &HybridQuery,
     driver: &Driver,
     st: &mut JenTask,
     w: usize,
-    t_schema: &Schema,
 ) -> Result<()> {
     let num_db = sys.config.db_workers;
     let label = sys.jen_workers[w].span_label();
@@ -1022,46 +1024,39 @@ pub(crate) fn jen_probe_aggregate(
         .take()
         .ok_or_else(|| HybridError::exec("probe step reached before a joiner was built"))?;
     let probe_rows: u64 = db_data.batches.iter().map(|b| b.num_rows() as u64).sum();
-    let _permit = driver.compute_permit();
-    let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
-    let joined = joiner.probe_all(t_schema, db_data.batches, query.db_key)?;
-    probe_span.done(0, probe_rows);
-    st.partial = Some(partial_aggregate(
-        sys,
-        label,
-        joined,
+    let mut sink = JoinAggregator::new(
         query.post_predicate_hdfs_layout().as_ref(),
         &query.group_expr_hdfs_layout(),
-        query.aggs_hdfs_layout(),
-    )?);
+        &query.aggs_hdfs_layout(),
+    );
+    let _permit = driver.compute_permit();
+    let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
+    joiner.probe_into(db_data.batches, query.db_key, |j, p, key| {
+        sink.probe(j, p, key)
+    })?;
+    probe_span.done(0, probe_rows);
+    st.partial = Some(partial_aggregate(sys, label, sink, &[])?);
     Ok(())
 }
 
-/// The post-join tail of every HDFS-side plan, binary or star: apply the
-/// residual predicate to one worker's joined rows and fold them into its
-/// partial aggregate. The expressions must already address `joined`'s
-/// physical layout.
+/// The post-join tail of every HDFS-side plan, binary or star: fold
+/// `joined` — batches already in the sink's joined layout, if any — into
+/// `sink`, and emit one worker's partial aggregate. The `Aggregate` span
+/// counts the rows that passed the post-join predicate, however they
+/// reached the sink.
 pub(crate) fn partial_aggregate(
     sys: &HybridSystem,
     label: String,
-    joined: Batch,
-    post_predicate: Option<&Expr>,
-    group_expr: &Expr,
-    aggs: Vec<AggSpec>,
+    mut sink: JoinAggregator,
+    joined: &[Batch],
 ) -> Result<Batch> {
-    let joined = match post_predicate {
-        Some(p) => {
-            let mask = p.eval_predicate(&joined)?;
-            joined.filter(&mask)?
-        }
-        None => joined,
-    };
     let agg_span = sys.tracer.start(label, Stage::Aggregate);
-    let mut agg = HashAggregator::new(aggs);
-    let groups = group_expr.eval_i64(&joined)?;
-    agg.update(&groups, &joined)?;
-    let partial = agg.finish();
-    agg_span.done(0, joined.num_rows() as u64);
+    for b in joined {
+        sink.consume(b)?;
+    }
+    let survivors = sink.survivors();
+    let partial = sink.finish();
+    agg_span.done(0, survivors);
     Ok(partial)
 }
 

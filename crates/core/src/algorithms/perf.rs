@@ -30,9 +30,8 @@
 //! 5. local joins + aggregation as in the repartition join.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_route_to_jen, db_scan_step, db_schema, db_tasks,
-    jen_probe_aggregate, jen_shuffle_share, jen_tasks, local_joiner, run_to_result, Driver,
-    TaskSet,
+    add_final_aggregation_steps, db_route_to_jen, db_scan_step, db_tasks, jen_probe_aggregate,
+    jen_shuffle_share, jen_tasks, local_joiner, run_to_result, Driver, TaskSet,
 };
 use crate::query::HybridQuery;
 use crate::system::HybridSystem;
@@ -61,7 +60,6 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         bloom_key: None,
     };
     let l_schema = &plan.table.schema.project(&query.hdfs_proj)?;
-    let t_schema = &db_schema(sys, &query.db_table, &query.db_proj)?;
     let key_schema = &Schema::from_pairs(&[("joinKey", DataType::I64)]);
 
     let mut db = TaskSet::new("db", db_tasks(sys, driver)?);
@@ -227,7 +225,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
 
     // Step 5: probe + aggregate (identical to the repartition epilogue).
     jen.step(60, move |w, st| {
-        jen_probe_aggregate(sys, query, driver, st, w, t_schema)
+        jen_probe_aggregate(sys, query, driver, st, w)
     });
 
     add_final_aggregation_steps(sys, &query.aggs, &mut jen, &mut db, 70)?;

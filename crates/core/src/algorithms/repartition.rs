@@ -8,8 +8,8 @@
 //! aggregates partially, and the designated worker returns the final result.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_route_to_jen, db_schema, first_phase, jen_probe_aggregate,
-    jen_recv_build, jen_shuffle_share, run_to_result, Driver, Input,
+    add_final_aggregation_steps, db_route_to_jen, first_phase, jen_probe_aggregate, jen_recv_build,
+    jen_shuffle_share, run_to_result, Driver, Input,
 };
 use crate::query::HybridQuery;
 use crate::skew::SaltRouter;
@@ -25,7 +25,6 @@ pub(crate) fn execute(
     input: Input,
 ) -> Result<Batch> {
     let driver = &Driver::from_config(&sys.config);
-    let t_schema = &db_schema(sys, &query.db_table, &query.db_proj)?;
     // Heavy-hitter detection (None unless `salt_buckets` is configured and
     // a hot key clears the threshold) — both sides must agree on it.
     let salt = SaltRouter::detect(sys, query)?;
@@ -64,7 +63,7 @@ pub(crate) fn execute(
         jen_recv_build(sys, query, driver, st, w, l_schema)
     });
     jen.step(32, move |w, st| {
-        jen_probe_aggregate(sys, query, driver, st, w, t_schema)
+        jen_probe_aggregate(sys, query, driver, st, w)
     });
 
     // Steps 5–6: final aggregation + return to the database.

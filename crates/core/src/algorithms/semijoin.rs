@@ -14,9 +14,8 @@
 //! same global sorted key set the sequential version shipped.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_route_to_jen, db_scan_step, db_schema, db_tasks,
-    jen_probe_aggregate, jen_recv_build, jen_shuffle_share, jen_tasks, run_to_result, Driver,
-    TaskSet,
+    add_final_aggregation_steps, db_route_to_jen, db_scan_step, db_tasks, jen_probe_aggregate,
+    jen_recv_build, jen_shuffle_share, jen_tasks, run_to_result, Driver, TaskSet,
 };
 use crate::query::HybridQuery;
 use crate::skew::SaltRouter;
@@ -53,7 +52,6 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         bloom_key: None,
     };
     let l_schema = &plan.table.schema.project(&query.hdfs_proj)?;
-    let t_schema = &db_schema(sys, &query.db_table, &query.db_proj)?;
     let key_schema = &Schema::from_pairs(&[("joinKey", DataType::I64)]);
     // Hot-key routing for the post-keyset L' shuffle and the T' shipment.
     let salt = SaltRouter::detect(sys, query)?;
@@ -142,7 +140,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         jen_recv_build(sys, query, driver, st, w, l_schema)
     });
     jen.step(32, move |w, st| {
-        jen_probe_aggregate(sys, query, driver, st, w, t_schema)
+        jen_probe_aggregate(sys, query, driver, st, w)
     });
 
     add_final_aggregation_steps(sys, &query.aggs, &mut jen, &mut db, 40)?;

@@ -19,8 +19,8 @@
 //! predicates on *both* sides on top of both local predicates.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_route_to_jen, db_schema, first_phase, jen_probe_aggregate,
-    jen_recv_build, jen_shuffle_share, run_to_result, Driver, Input,
+    add_final_aggregation_steps, db_route_to_jen, first_phase, jen_probe_aggregate, jen_recv_build,
+    jen_shuffle_share, run_to_result, Driver, Input,
 };
 use crate::query::HybridQuery;
 use crate::skew::SaltRouter;
@@ -36,7 +36,6 @@ pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> 
     let num_jen = sys.config.jen_workers;
 
     let designated = sys.coordinator.designated_worker()?;
-    let t_schema = &db_schema(sys, &query.db_table, &query.db_proj)?;
     // Shared hot-key routing for the L' shuffle and the T'' shipment.
     let salt = SaltRouter::detect(sys, query)?;
     let salt = salt.as_ref();
@@ -146,7 +145,7 @@ pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> 
         jen_recv_build(sys, query, driver, st, w, l_schema)
     });
     jen.step(42, move |w, st| {
-        jen_probe_aggregate(sys, query, driver, st, w, t_schema)
+        jen_probe_aggregate(sys, query, driver, st, w)
     });
 
     // Steps 8–9: final aggregation at the designated worker, result to DB.

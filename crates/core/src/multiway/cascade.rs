@@ -39,7 +39,7 @@ use crate::system::HybridSystem;
 use hybrid_common::batch::{Batch, BatchBuilder};
 use hybrid_common::error::Result;
 use hybrid_common::hash::agreed_shuffle_partition;
-use hybrid_common::ops::partition_sel;
+use hybrid_common::ops::{partition_sel, JoinAggregator};
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
 use hybrid_jen::pipeline::scan_blocks_batched;
@@ -232,17 +232,12 @@ pub(crate) fn execute(
     let fin = 20 + 10 * steps.len() as u32;
     jen.step(fin, move |w, st| {
         let _permit = driver.compute_permit();
-        let joined = Batch::concat(
-            cur_schemas.last().expect("seeded").clone(),
-            &st.blocks.take().unwrap_or_default(),
-        )?;
+        let sink = JoinAggregator::new(post_predicate.as_ref(), group_expr, aggs);
         st.partial = Some(partial_aggregate(
             sys,
             sys.jen_workers[w].span_label(),
-            joined,
-            post_predicate.as_ref(),
-            group_expr,
-            aggs.clone(),
+            sink,
+            &st.blocks.take().unwrap_or_default(),
         )?);
         Ok(())
     });

@@ -33,6 +33,7 @@ use crate::system::HybridSystem;
 use hybrid_common::batch::{Batch, BatchBuilder};
 use hybrid_common::error::Result;
 use hybrid_common::hash::hash_key_seeded;
+use hybrid_common::ops::JoinAggregator;
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
 use hybrid_jen::pipeline::scan_blocks_batched;
@@ -259,6 +260,9 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
         // probe dimension by dimension: after joining axes 0..i the fact
         // columns sit at offset Σ_{j<=i} width_j from a prefix stack of
         // builds
+        // inner axes materialise their joins; the last folds its matches
+        // straight into the sink
+        let mut sink = JoinAggregator::new(post_predicate.as_ref(), group_expr, aggs);
         let mut cur_schema = fact_schema.clone();
         let mut fact_off = 0usize;
         for (axis, dim_batches) in dims.into_iter().enumerate() {
@@ -272,21 +276,19 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
             build_span.done(0, built);
             let probe_rows: u64 = probes.iter().map(|b| b.num_rows() as u64).sum();
             let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
-            let joined = joiner.probe_all(&cur_schema, probes, fact_off + star.fact_keys[axis])?;
+            let key = fact_off + star.fact_keys[axis];
+            let probes_in = std::mem::take(&mut probes);
+            if axis + 1 == k {
+                joiner.probe_into(probes_in, key, |j, p, key| sink.probe(j, p, key))?;
+            } else {
+                let joined = joiner.probe_all(&cur_schema, probes_in, key)?;
+                cur_schema = joined.schema().clone();
+                fact_off += dq.proj.len();
+                probes = vec![joined];
+            }
             probe_span.done(0, probe_rows);
-            cur_schema = joined.schema().clone();
-            fact_off += dq.proj.len();
-            probes = vec![joined];
         }
-        let joined = Batch::concat(cur_schema, &probes)?;
-        st.partial = Some(partial_aggregate(
-            sys,
-            label,
-            joined,
-            post_predicate.as_ref(),
-            group_expr,
-            aggs.clone(),
-        )?);
+        st.partial = Some(partial_aggregate(sys, label, sink, &probes)?);
         Ok(())
     });
 

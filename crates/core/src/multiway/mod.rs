@@ -24,8 +24,9 @@
 //! aggregation epilogue (`prepare_run`, `add_final_aggregation_steps`,
 //! `run_to_result`), the DB scan and projected schema (`db_scan`,
 //! `db_schema`), the hash-routed DB send (`db_route_to_jen`), the local
-//! joiner (`local_joiner`), the post-join tail (`partial_aggregate`), the
-//! query bounds check, and the hot-key sampler (`skew::sample_hot_keys`).
+//! joiner (`local_joiner`), the post-join tail (`partial_aggregate` over a
+//! `JoinAggregator` sink), the query bounds check, and the hot-key sampler
+//! (`skew::sample_hot_keys`).
 //!
 //! [`run_star`] samples the tables, lets the advisor price the best
 //! cascade order against the best share vector

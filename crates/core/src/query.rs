@@ -138,14 +138,7 @@ impl HybridQuery {
 
 /// Aggregates rewritten through a column map.
 pub(crate) fn remap_agg_columns(aggs: &[AggSpec], map: impl Fn(usize) -> usize) -> Vec<AggSpec> {
-    aggs.iter()
-        .map(|a| match *a {
-            AggSpec::Count => AggSpec::Count,
-            AggSpec::SumI64(c) => AggSpec::SumI64(map(c)),
-            AggSpec::MinI64(c) => AggSpec::MinI64(map(c)),
-            AggSpec::MaxI64(c) => AggSpec::MaxI64(map(c)),
-        })
-        .collect()
+    aggs.iter().map(|a| a.map_column(&map)).collect()
 }
 
 /// Bounds-check the expressions a query evaluates over its joined layout
@@ -157,17 +150,11 @@ pub(crate) fn check_joined_exprs(
     group_expr: &Expr,
     aggs: &[AggSpec],
 ) -> Result<()> {
-    for agg in aggs {
-        let col = match *agg {
-            AggSpec::Count => None,
-            AggSpec::SumI64(c) | AggSpec::MinI64(c) | AggSpec::MaxI64(c) => Some(c),
-        };
-        if let Some(c) = col {
-            if c >= joined_width {
-                return Err(HybridError::config(format!(
-                    "aggregate references column {c}, joined width is {joined_width}"
-                )));
-            }
+    for c in aggs.iter().filter_map(|a| a.column()) {
+        if c >= joined_width {
+            return Err(HybridError::config(format!(
+                "aggregate references column {c}, joined width is {joined_width}"
+            )));
         }
     }
     for (name, expr) in [

@@ -10,7 +10,7 @@ use hybrid_common::expr::Expr;
 use hybrid_common::hash::db_partition;
 use hybrid_common::ids::DbWorkerId;
 use hybrid_common::metrics::Metrics;
-use hybrid_common::ops::{partition_by_key, HashAggregator, HashJoiner};
+use hybrid_common::ops::{partition_by_key, HashAggregator, HashJoiner, JoinAggregator};
 
 /// Intra-DB traffic uses the same metric names as `hybrid_net::LinkClass::
 /// IntraDb` so the cost model sees one coherent `net.*` namespace, even
@@ -168,24 +168,16 @@ impl DbCluster {
             }
         };
 
-        // Per-worker: build on left, probe with right (output = left ++ right),
-        // residual predicate, partial aggregation.
+        // Per-worker: build on left, probe with right (joined layout =
+        // left ++ right), residual predicate, partial aggregation.
         let mut partials: Vec<Batch> = Vec::with_capacity(n);
-        for w in 0..n {
-            let mut joiner = HashJoiner::new(local_left[w].schema().clone(), spec.left_key);
-            joiner.build(local_left[w].clone())?;
-            let joined = joiner.probe(&local_right[w], spec.right_key)?;
-            let joined = match &spec.post_predicate {
-                Some(p) => {
-                    let mask = p.eval_predicate(&joined)?;
-                    joined.filter(&mask)?
-                }
-                None => joined,
-            };
-            let groups = spec.group_expr.eval_i64(&joined)?;
-            let mut agg = HashAggregator::new(spec.aggs.clone());
-            agg.update(&groups, &joined)?;
-            partials.push(agg.finish());
+        for (left, right) in local_left.into_iter().zip(&local_right) {
+            let mut joiner = HashJoiner::new(left.schema().clone(), spec.left_key);
+            joiner.build(left)?;
+            let mut sink =
+                JoinAggregator::new(spec.post_predicate.as_ref(), &spec.group_expr, &spec.aggs);
+            sink.probe(&joiner, right, spec.right_key)?;
+            partials.push(sink.finish());
         }
 
         // Final aggregation on worker 0; other workers ship their partials.

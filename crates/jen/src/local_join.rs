@@ -62,6 +62,28 @@ impl LocalJoiner {
         }
     }
 
+    /// Probe with every batch, handing `sink` each in-memory joiner with
+    /// each probe batch and the probe key — the [`JoinAggregator`] path,
+    /// which folds matches without materialising the join.
+    ///
+    /// [`JoinAggregator`]: hybrid_common::ops::JoinAggregator
+    pub fn probe_into(
+        self,
+        probes: Vec<Batch>,
+        probe_key: usize,
+        mut sink: impl FnMut(&HashJoiner, &Batch, usize) -> Result<()>,
+    ) -> Result<()> {
+        match self {
+            LocalJoiner::InMemory(j) => probes.iter().try_for_each(|p| sink(&j, p, probe_key)),
+            LocalJoiner::Hybrid(mut g) => {
+                for p in probes {
+                    g.add_probe(p, probe_key)?;
+                }
+                g.finish_into(sink)
+            }
+        }
+    }
+
     /// Probe with every batch and return the concatenated join output
     /// (`build_row ++ probe_row`).
     pub fn probe_all(
@@ -70,28 +92,17 @@ impl LocalJoiner {
         probes: Vec<Batch>,
         probe_key: usize,
     ) -> Result<Batch> {
-        match self {
-            LocalJoiner::InMemory(j) => {
-                let outs: Vec<Batch> = probes
-                    .iter()
-                    .map(|p| j.probe(p, probe_key))
-                    .collect::<Result<_>>()?;
-                match outs.first() {
-                    Some(first) => Batch::concat(first.schema().clone(), &outs),
-                    None => {
-                        // no probe data at all: empty joined output
-                        let empty_probe = Batch::empty(probe_schema.clone());
-                        j.probe(&empty_probe, probe_key)
-                    }
-                }
-            }
-            LocalJoiner::Hybrid(mut g) => {
-                for p in probes {
-                    g.add_probe(p, probe_key)?;
-                }
-                g.finish()
-            }
-        }
+        let build_schema = match &self {
+            LocalJoiner::InMemory(j) => j.build_schema(),
+            LocalJoiner::Hybrid(g) => g.build_schema(),
+        };
+        let out_schema = build_schema.join(probe_schema);
+        let mut outs: Vec<Batch> = Vec::new();
+        self.probe_into(probes, probe_key, |joiner, probe, key| {
+            outs.push(joiner.probe(probe, key)?);
+            Ok(())
+        })?;
+        Batch::concat(out_schema, &outs)
     }
 }
 
@@ -100,6 +111,8 @@ mod tests {
     use super::*;
     use hybrid_common::batch::Column;
     use hybrid_common::datum::DataType;
+    use hybrid_common::expr::Expr;
+    use hybrid_common::ops::{AggSpec, JoinAggregator};
 
     fn build_schema() -> Schema {
         Schema::from_pairs(&[("k", DataType::I32)])
@@ -136,22 +149,46 @@ mod tests {
     fn in_memory_and_hybrid_agree() {
         let build: Vec<Batch> = (0..4).map(|i| batch_build(&[i, i + 10, i])).collect();
         let probes: Vec<Batch> = (0..3).map(|i| batch_probe(&[i, 11, 99])).collect();
+        let joiner = |limit: Option<usize>, m: Metrics| {
+            let mut j = LocalJoiner::new(build_schema(), 0, limit, None, m).unwrap();
+            for b in build.clone() {
+                j.build(b).unwrap();
+            }
+            j
+        };
 
-        let mut mem = LocalJoiner::new(build_schema(), 0, None, None, Metrics::new()).unwrap();
-        for b in build.clone() {
-            mem.build(b).unwrap();
-        }
-        let mem_out = mem.probe_all(&probe_schema(), probes.clone(), 0).unwrap();
-
+        let mem_out = joiner(None, Metrics::new())
+            .probe_all(&probe_schema(), probes.clone(), 0)
+            .unwrap();
         let m = Metrics::new();
-        let mut hybrid = LocalJoiner::new(build_schema(), 0, Some(2), None, m.clone()).unwrap();
-        for b in build {
-            hybrid.build(b).unwrap();
-        }
-        let hybrid_out = hybrid.probe_all(&probe_schema(), probes, 0).unwrap();
-
+        let hybrid_out = joiner(Some(2), m.clone())
+            .probe_all(&probe_schema(), probes.clone(), 0)
+            .unwrap();
         assert_eq!(sorted_rows(&mem_out), sorted_rows(&hybrid_out));
         assert!(m.get("jen.spill.activations") > 0, "limit of 2 must spill");
+
+        // the same through the join-aggregate sink: group by the probe
+        // key, keep rows with v > 0, count and sum v
+        let pred = Expr::col(2).ge(Expr::lit_i64(1));
+        let aggs = [AggSpec::Count, AggSpec::SumI64(2)];
+        let folded = |limit: Option<usize>, m: Metrics| {
+            let mut sink = JoinAggregator::new(Some(&pred), &Expr::col(1), &aggs);
+            joiner(limit, m)
+                .probe_into(probes.clone(), 0, |j, p, key| sink.probe(j, p, key))
+                .unwrap();
+            (sink.survivors(), sink.finish())
+        };
+        let m = Metrics::new();
+        let (mem_rows, mem_agg) = folded(None, Metrics::new());
+        let (hybrid_rows, hybrid_agg) = folded(Some(2), m.clone());
+        assert!(m.get("jen.spill.activations") > 0, "limit of 2 must spill");
+        assert_eq!(hybrid_agg, mem_agg);
+        assert_eq!(hybrid_rows, mem_rows);
+        let mut expected = JoinAggregator::new(Some(&pred), &Expr::col(1), &aggs);
+        expected.consume(&mem_out).unwrap();
+        assert_eq!(mem_rows, expected.survivors());
+        assert!(mem_rows > 0);
+        assert_eq!(mem_agg, expected.finish());
     }
 
     #[test]

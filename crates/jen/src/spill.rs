@@ -307,6 +307,11 @@ impl HybridHashJoiner {
         })
     }
 
+    /// Schema of the build side, the left part of every joined row.
+    pub(crate) fn build_schema(&self) -> &Schema {
+        &self.build_schema
+    }
+
     /// Whether any partition has been evicted to disk.
     pub fn is_spilled(&self) -> bool {
         self.evictions > 0
@@ -485,7 +490,7 @@ impl HybridHashJoiner {
         probe: Vec<Batch>,
         probe_key: usize,
         depth: usize,
-        outs: &mut Vec<Batch>,
+        sink: &mut impl FnMut(&HashJoiner, &Batch, usize) -> Result<()>,
     ) -> Result<()> {
         let rows: usize = build.iter().map(Batch::num_rows).sum();
         let bytes: u64 = build.iter().map(|b| b.serialized_bytes() as u64).sum();
@@ -501,7 +506,7 @@ impl HybridHashJoiner {
                 joiner.build(b)?;
             }
             for pb in &probe {
-                outs.push(joiner.probe(pb, probe_key)?);
+                sink(&joiner, pb, probe_key)?;
             }
             return Ok(());
         }
@@ -542,19 +547,37 @@ impl HybridHashJoiner {
                 continue;
             }
             let p = sub_probe.read_partition(sp)?;
-            self.join_partition(b, p, probe_key, depth + 1, outs)?;
+            self.join_partition(b, p, probe_key, depth + 1, sink)?;
         }
         Ok(())
     }
 
     /// Run the join and return the concatenated output
-    /// (`build_row ++ probe_row`, like [`HashJoiner::probe`]).
+    /// (`build_row ++ probe_row`, like [`HashJoiner::probe`]): the same
+    /// partition walk as `finish_into`, into a materialising sink.
+    pub fn finish(self) -> Result<Batch> {
+        // with no probe batch seen, the build schema stands in for the probe's
+        let probe_schema = self.probe_schema.as_ref().unwrap_or(&self.build_schema);
+        let out_schema = self.build_schema.join(probe_schema);
+        let mut outs: Vec<Batch> = Vec::new();
+        self.finish_into(|joiner, probe, key| {
+            outs.push(joiner.probe(probe, key)?);
+            Ok(())
+        })?;
+        Batch::concat(out_schema, &outs)
+    }
+
+    /// Run the join, handing `sink` each partition's in-memory joiner with
+    /// each of that partition's probe batches and the probe key.
     ///
     /// Resident partitions join purely in memory; evicted partitions are
     /// re-read from their spill runs (recursing if they overflow). The
     /// number of non-empty partitions that never touched disk is recorded
     /// under `mem.partitions_resident` — the hybrid win over grace.
-    pub fn finish(mut self) -> Result<Batch> {
+    pub(crate) fn finish_into(
+        mut self,
+        mut sink: impl FnMut(&HashJoiner, &Batch, usize) -> Result<()>,
+    ) -> Result<()> {
         // Residency is a property of the build, so it is recorded even on
         // the no-probe path below — a worker that holds its partitions in
         // memory scored the hybrid win whether or not any probe row arrives.
@@ -565,19 +588,9 @@ impl HybridHashJoiner {
             .count() as u64;
         self.metrics
             .add("mem.partitions_resident", resident_nonempty);
-        let probe_key = match self.probe_key {
-            Some(k) => k,
-            None => {
-                // no probe data at all: empty output with the joined schema
-                let probe_schema = self
-                    .probe_schema
-                    .unwrap_or_else(|| self.build_schema.clone());
-                return Ok(Batch::empty(self.build_schema.join(&probe_schema)));
-            }
+        let Some(probe_key) = self.probe_key else {
+            return Ok(());
         };
-        let probe_schema = self.probe_schema.clone().expect("probe_key implies schema");
-        let out_schema = self.build_schema.join(&probe_schema);
-        let mut outs: Vec<Batch> = Vec::new();
         for p in 0..self.num_partitions {
             if self.parts[p].evicted {
                 let build = self
@@ -592,7 +605,7 @@ impl HybridHashJoiner {
                     Some(ps) => ps.read_partition(p)?,
                     None => Vec::new(),
                 };
-                self.join_partition(build, probe, probe_key, 1, &mut outs)?;
+                self.join_partition(build, probe, probe_key, 1, &mut sink)?;
             } else {
                 if self.parts[p].rows == 0 {
                     continue;
@@ -602,11 +615,11 @@ impl HybridHashJoiner {
                     joiner.build(b)?;
                 }
                 for pb in std::mem::take(&mut self.parts[p].probe) {
-                    outs.push(joiner.probe(&pb, probe_key)?);
+                    sink(&joiner, &pb, probe_key)?;
                 }
             }
         }
-        Batch::concat(out_schema, &outs)
+        Ok(())
     }
 }
 

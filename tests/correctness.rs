@@ -141,3 +141,63 @@ fn repeated_runs_are_deterministic() {
         "volume counters must be deterministic"
     );
 }
+
+#[test]
+fn column_free_tail_counts_every_joined_row() {
+    // A literal group, a literal-only post-join predicate and count(*) read
+    // no joined column at all: every plan's tail, which gathers only the
+    // columns its expressions read, must still count one row per match.
+    use hybrid_common::batch::Batch;
+    use hybrid_common::datum::Datum;
+    use hybrid_common::expr::Expr;
+    use hybrid_common::metrics::Metrics;
+    use hybrid_common::ops::AggSpec;
+    use hybrid_edw::{DbCluster, DbJoinSpec};
+    let workload = WorkloadSpec::tiny().generate().unwrap();
+    let mut query = workload.query();
+    query.group_expr = Expr::ExtractGroup(Box::new(Expr::Lit(Datum::Utf8("g7".into()))));
+    query.post_predicate = Some(Expr::lit_i64(0).le(Expr::lit_i64(1)));
+    query.aggs = vec![AggSpec::Count];
+    let expected = run_reference(&workload.t, &workload.l, &query).unwrap();
+    assert_eq!(expected.num_rows(), 1);
+    assert!(expected.column(1).unwrap().as_i64().unwrap()[0] > 0);
+
+    let mut sys = loaded_system(test_config(3, 4), &workload, FileFormat::Columnar);
+    let algorithms = all_algorithms();
+    assert_eq!(algorithms.len(), 8);
+    for alg in algorithms {
+        let out = run(&mut sys, &query, alg).unwrap();
+        assert_eq!(out.result, expected, "{alg} lost column-free rows");
+    }
+
+    // the EDW's own join, on T' and L' dealt round-robin to its workers
+    let filtered = |table: &Batch, pred: &Expr, proj: &[usize]| {
+        table
+            .filter(&pred.eval_predicate(table).unwrap())
+            .unwrap()
+            .project(proj)
+            .unwrap()
+    };
+    let t_prime = filtered(&workload.t, &query.db_pred, &query.db_proj);
+    let l_prime = filtered(&workload.l, &query.hdfs_pred, &query.hdfs_proj);
+    let db = DbCluster::new(3, Metrics::new()).unwrap();
+    let deal = |b: &Batch| -> Vec<Batch> {
+        (0..3u32)
+            .map(|w| {
+                let rows: Vec<u32> = (w..b.num_rows() as u32).step_by(3).collect();
+                b.take(&rows)
+            })
+            .collect()
+    };
+    let spec = DbJoinSpec {
+        left_key: query.db_key,
+        right_key: query.hdfs_key,
+        post_predicate: query.post_predicate.clone(),
+        group_expr: query.group_expr.clone(),
+        aggs: query.aggs.clone(),
+    };
+    let (result, _) = db
+        .join_and_aggregate(&deal(&t_prime), &deal(&l_prime), &spec)
+        .unwrap();
+    assert_eq!(result, expected, "join_and_aggregate lost column-free rows");
+}
