@@ -304,8 +304,9 @@ impl Batch {
     /// Build a batch of exactly `rows` rows. Unlike [`Batch::new`] this
     /// keeps the row count of a batch with no columns — the narrow gather
     /// for an expression that reads none (`count(*)`, a literal group or
-    /// predicate) still has one row per joined pair.
-    pub(crate) fn with_rows(schema: Schema, columns: Vec<Column>, rows: usize) -> Result<Batch> {
+    /// predicate) still has one row per joined pair, and a scan's
+    /// predicate input still has one row per stored row.
+    pub fn with_rows(schema: Schema, columns: Vec<Column>, rows: usize) -> Result<Batch> {
         if schema.len() != columns.len() {
             return Err(HybridError::SchemaMismatch(format!(
                 "schema has {} fields but {} columns supplied",

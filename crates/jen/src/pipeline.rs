@@ -57,7 +57,7 @@ pub fn scan_blocks_batched(
     spec: &ScanSpec,
     bloom: Option<&BloomFilter>,
 ) -> Result<(Vec<Batch>, ScanStats)> {
-    let read_cols = read_cols_of(spec);
+    let read_cols = spec.read_cols();
     let mut stats = ScanStats::default();
     let mut parts: Vec<Batch> = Vec::with_capacity(blocks.len());
     let span = worker
@@ -95,31 +95,8 @@ pub fn scan_blocks_batched(
     })?;
 
     span.done(stats.bytes_read as u64, stats.rows_raw as u64);
-    report(worker, &stats);
+    worker.report(&stats);
     Ok((parts, stats))
-}
-
-fn read_cols_of(spec: &ScanSpec) -> Vec<usize> {
-    let mut cols: Vec<usize> = spec
-        .pred
-        .referenced_columns()
-        .into_iter()
-        .chain(spec.proj.iter().copied())
-        .chain(spec.bloom_key)
-        .collect();
-    cols.sort_unstable();
-    cols.dedup();
-    cols
-}
-
-fn report(worker: &JenWorker, stats: &ScanStats) {
-    let m = worker.metrics();
-    m.add("jen.scan.blocks_read", stats.blocks_read as u64);
-    m.add("jen.scan.blocks_skipped", stats.blocks_skipped as u64);
-    m.add("jen.scan.bytes_read", stats.bytes_read as u64);
-    m.add("jen.scan.rows_raw", stats.rows_raw as u64);
-    m.add("jen.scan.rows_after_pred", stats.rows_after_pred as u64);
-    m.add("jen.scan.rows_after_bloom", stats.rows_after_bloom as u64);
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
 //! A JEN worker: scan-based processing of its assigned HDFS blocks.
 
-use hybrid_bloom::{filter_batch, ApproxMembership, BloomFilter};
-use hybrid_common::batch::Batch;
-use hybrid_common::error::{HybridError, Result};
+use hybrid_bloom::{member_sel, ApproxMembership, BloomFilter};
+use hybrid_common::batch::{Batch, Column, SelectionVector};
+use hybrid_common::error::Result;
 use hybrid_common::expr::Expr;
 use hybrid_common::ids::{BlockId, DataNodeId, JenWorkerId};
 use hybrid_common::metrics::Metrics;
 use hybrid_common::trace::{Stage, Tracer};
 use hybrid_hdfs::{HdfsCluster, TableMeta};
-use hybrid_storage::{columnar, decode, FileFormat};
+use hybrid_storage::{columnar, BlockReader, FileFormat};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
@@ -25,9 +25,9 @@ pub struct ScanSpec {
 }
 
 impl ScanSpec {
-    /// Columns that must be materialized from storage: predicate inputs,
-    /// outputs, and the Bloom-filter key.
-    fn read_cols(&self) -> Vec<usize> {
+    /// Columns a scan reads from storage: predicate inputs, outputs, and
+    /// the Bloom-filter key.
+    pub(crate) fn read_cols(&self) -> Vec<usize> {
         let mut cols: Vec<usize> = self
             .pred
             .referenced_columns()
@@ -109,8 +109,9 @@ impl JenWorker {
     /// share plus the scan statistics.
     ///
     /// Per block: (columnar only) skip via chunk min/max when a `col <= b`
-    /// predicate excludes it; otherwise decode the needed columns (text
-    /// parses everything), evaluate the predicate, apply `BF_DB`, project.
+    /// predicate excludes it; otherwise decode the predicate's columns,
+    /// apply `BF_DB` to the survivors, and build the projected columns only
+    /// for the rows that remain.
     pub fn scan_blocks(
         &self,
         table: &TableMeta,
@@ -139,8 +140,21 @@ impl JenWorker {
         Ok((out, stats))
     }
 
-    /// Decode + filter + Bloom + project one raw block. `None` means the
-    /// block was skipped entirely via columnar statistics.
+    /// Scan one raw block, late-materialising. `None` means the block was
+    /// skipped entirely via columnar statistics.
+    ///
+    /// 1. (columnar only) skip the block when a `col <= b` conjunct's chunk
+    ///    min exceeds `b`;
+    /// 2. decode the predicate's columns at every row;
+    /// 3. evaluate the predicate into a selection;
+    /// 4. with `BF_DB`, read the key column at that selection and narrow
+    ///    the selection to the keys the filter may contain;
+    /// 5. decode each projected column at the final selection only, reusing
+    ///    a column steps 2 or 4 already decoded.
+    ///
+    /// Every chunk of `read_cols` (columnar) or every field of the block
+    /// (text) is still walked and checked, so a malformed block fails as
+    /// a full decode of `read_cols` would.
     pub(crate) fn process_block(
         &self,
         table: &TableMeta,
@@ -162,41 +176,78 @@ impl JenWorker {
                 }
             }
         }
-        let decoded = decode(table.format, &table.schema, bytes, Some(read_cols))?;
+        let reader = BlockReader::open(table.format, &table.schema, bytes)?;
+        let rows = reader.rows();
         stats.blocks_read += 1;
-        stats.bytes_read += decoded.bytes_read;
-        stats.rows_raw += decoded.batch.num_rows();
+        stats.bytes_read += reader.bytes_read(read_cols)?;
+        stats.rows_raw += rows;
 
-        // positions of base columns within the read set
-        let pos = |base: usize| read_cols.iter().position(|&c| c == base);
+        // the predicate over its own columns, decoded in full; a predicate
+        // that reads none still sees `rows` rows
+        let pred_cols: Vec<usize> = spec.pred.referenced_columns().into_iter().collect();
+        let pred_input = Batch::with_rows(
+            table.schema.project(&pred_cols)?,
+            pred_cols
+                .iter()
+                .map(|&c| reader.column(c, None))
+                .collect::<Result<_>>()?,
+            rows,
+        )?;
         let pred = spec
             .pred
-            .remap_columns(&|c| pos(c))
-            .ok_or_else(|| HybridError::exec("scan read set misses a predicate column"))?;
-        let mask = pred.eval_predicate(&decoded.batch)?;
-        let mut batch = decoded.batch.filter(&mask)?;
-        stats.rows_after_pred += batch.num_rows();
+            .remap_columns(&|c| pred_cols.binary_search(&c).ok())
+            .expect("pred_cols lists every column the predicate reads");
+        let mut sel = SelectionVector::from_mask(&pred.eval_predicate(&pred_input)?);
+        stats.rows_after_pred += sel.len();
 
+        // column `col` at `sel`: a take from the predicate's input when it
+        // holds `col`, else a walk of the column's chunk
+        let at = |col: usize, sel: &SelectionVector| -> Result<Column> {
+            match pred_cols.binary_search(&col) {
+                Ok(i) => Ok(pred_input.column(i)?.take(sel.as_slice())),
+                Err(_) => reader.column(col, Some(sel)),
+            }
+        };
+        // the Bloom key read at the predicate's survivors, and the rows of
+        // it the filter kept
+        let mut bloom_keys: Option<(usize, Column, SelectionVector)> = None;
         if let (Some(key), Some(bf)) = (spec.bloom_key, bloom) {
-            let key_pos =
-                pos(key).ok_or_else(|| HybridError::exec("scan read set misses the bloom key"))?;
-            let rows_in = batch.num_rows() as u64;
+            let keys = at(key, &sel)?;
+            let rows_in = sel.len() as u64;
             let span = self.tracer.start(self.span_label(), Stage::BloomApply);
-            let (filtered, _) = filter_batch(&batch, key_pos, bf)?;
+            let keep = member_sel(&keys.keys_i64()?, bf);
+            sel = SelectionVector::from_indexes(
+                keep.as_slice()
+                    .iter()
+                    .map(|&i| sel.as_slice()[i as usize])
+                    .collect(),
+            );
             span.done(0, rows_in);
-            batch = filtered;
+            bloom_keys = Some((key, keys, keep));
         }
-        stats.rows_after_bloom += batch.num_rows();
+        stats.rows_after_bloom += sel.len();
 
-        let proj_pos: Vec<usize> = spec
-            .proj
-            .iter()
-            .map(|&c| pos(c).expect("projection is part of the read set"))
-            .collect();
-        Ok(Some(batch.project(&proj_pos)?))
+        let mut columns = Vec::with_capacity(spec.proj.len());
+        for &col in &spec.proj {
+            columns.push(match &bloom_keys {
+                Some((key, keys, keep)) if *key == col => keys.take(keep.as_slice()),
+                _ => at(col, &sel)?,
+            });
+        }
+        // without a filter the Bloom key is read only to be checked
+        if let (Some(key), None) = (spec.bloom_key, bloom) {
+            if pred_cols.binary_search(&key).is_err() && !spec.proj.contains(&key) {
+                reader.column(key, Some(&SelectionVector::default()))?;
+            }
+        }
+        Ok(Some(Batch::with_rows(
+            table.schema.project(&spec.proj)?,
+            columns,
+            sel.len(),
+        )?))
     }
 
-    fn report(&self, stats: &ScanStats) {
+    pub(crate) fn report(&self, stats: &ScanStats) {
         let m = &self.metrics;
         m.add("jen.scan.blocks_read", stats.blocks_read as u64);
         m.add("jen.scan.blocks_skipped", stats.blocks_skipped as u64);
@@ -260,6 +311,7 @@ pub fn bloom_accepts(bf: &BloomFilter, key: i64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hybrid_bloom::filter_batch;
     use hybrid_bloom::BloomParams;
     use hybrid_common::batch::Column;
     use hybrid_common::datum::DataType;
@@ -415,6 +467,101 @@ mod tests {
         let (out, _) = w.scan_blocks(&meta, &ids, &s, None).unwrap();
         assert_eq!(out.num_rows(), 100);
         assert_eq!(out.schema().len(), 1);
+    }
+
+    /// The scan as decode → predicate → `filter` → `filter_batch` →
+    /// `project`, from public pieces only.
+    fn oracle(
+        meta: &TableMeta,
+        bytes: &[u8],
+        spec: &ScanSpec,
+        bloom: Option<&BloomFilter>,
+        stats: &mut ScanStats,
+    ) -> Option<Batch> {
+        if meta.format == FileFormat::Columnar {
+            for (col, bound) in spec.pred.le_conjuncts() {
+                let cs = columnar::column_stats(&meta.schema, bytes, col).unwrap();
+                if cs.is_some_and(|cs| cs.min > bound) {
+                    stats.blocks_skipped += 1;
+                    return None;
+                }
+            }
+        }
+        let read_cols = spec.read_cols();
+        let decoded =
+            hybrid_storage::decode(meta.format, &meta.schema, bytes, Some(&read_cols)).unwrap();
+        stats.blocks_read += 1;
+        stats.bytes_read += decoded.bytes_read;
+        // a full decode gives a batch its rows even when no column is read
+        let full = hybrid_storage::decode(meta.format, &meta.schema, bytes, None).unwrap();
+        stats.rows_raw += full.batch.num_rows();
+        let mask = spec.pred.eval_predicate(&full.batch).unwrap();
+        let mut batch = full.batch.filter(&mask).unwrap();
+        stats.rows_after_pred += batch.num_rows();
+        if let (Some(key), Some(bf)) = (spec.bloom_key, bloom) {
+            batch = filter_batch(&batch, key, bf).unwrap().0;
+        }
+        stats.rows_after_bloom += batch.num_rows();
+        Some(batch.project(&spec.proj).unwrap())
+    }
+
+    #[test]
+    fn late_materialising_scan_equals_decode_filter_project() {
+        // strings with multi-byte characters and the text delimiter
+        let block = |lo: i32| {
+            let mut columns = l_block(lo, 100).columns().to_vec();
+            columns[3] = Column::Utf8((0..100).map(|i| format!("url_{}/é|{i}", i % 7)).collect());
+            Batch::new(l_schema(), columns).unwrap()
+        };
+        let mut bf = BloomFilter::new(BloomParams::new(1 << 12, 2).unwrap());
+        (0..400).step_by(3).for_each(|k| bf.insert(k));
+        let always = |v: i64| Expr::lit_i64(0).le(Expr::lit_i64(v));
+        let preds = [
+            // disjoint from the projections below, with a skippable bound
+            Expr::col_le(1, 149).and(Expr::col_le(2, 1)),
+            // overlaps them: the key, and the string column through the UDF
+            Expr::col_le(0, 250),
+            Expr::ExtractGroup(Box::new(Expr::col(3))).le(Expr::lit_i64(3)),
+            // reads no column: all rows or none
+            always(1),
+            always(-1),
+        ];
+        let shapes = [
+            (vec![0, 3], Some(0)), // key inside the projection
+            (vec![3], Some(0)),    // key outside it
+            (vec![3, 1], None),
+            (vec![], Some(2)),
+        ];
+        for format in [FileFormat::Text, FileFormat::Columnar] {
+            let (w, meta, _, _) = setup(format);
+            let blocks: Vec<Vec<u8>> = (0..4).map(|i| encode(format, &block(i * 100))).collect();
+            for pred in &preds {
+                for (proj, bloom_key) in &shapes {
+                    let spec = ScanSpec {
+                        pred: pred.clone(),
+                        proj: proj.clone(),
+                        bloom_key: *bloom_key,
+                    };
+                    let read_cols = spec.read_cols();
+                    for bloom in [None, Some(&bf)] {
+                        let (mut got, mut want) = (ScanStats::default(), ScanStats::default());
+                        for bytes in &blocks {
+                            let out = w
+                                .process_block(&meta, bytes, &read_cols, &spec, bloom, &mut got)
+                                .unwrap();
+                            let expected = oracle(&meta, bytes, &spec, bloom, &mut want);
+                            assert_eq!(
+                                out,
+                                expected,
+                                "{format} {spec:?} bloom {}",
+                                bloom.is_some()
+                            );
+                        }
+                        assert_eq!(got, want, "{format} {spec:?} bloom {}", bloom.is_some());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

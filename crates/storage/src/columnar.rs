@@ -23,9 +23,19 @@
 //! Parquet+Snappy over text, and the directory enables true **projection
 //! pushdown**: [`decode`] touches only the chunks the query needs, which is
 //! what makes the columnar scan anchor (38 s vs 240 s) possible.
+//!
+//! [`ColumnarReader`] is the one decode loop. It opens a row group by its
+//! header and decodes one chunk per [`ColumnarReader::column`] call, in
+//! one walk that checks every value — varint framing, the `i32` range,
+//! the front-coding prefix bound (a prefix may not end inside a
+//! character) and UTF-8 — while storing only the rows a selection keeps.
+//! Front coding rebuilds each string in one reused buffer and allocates a
+//! `String` only for a kept row, so a late-materialising scan pays for the
+//! URLs of the rows that survive its predicate and Bloom filter, not for
+//! every row of the block. [`decode`] is that reader at every row.
 
 use crate::varint;
-use hybrid_common::batch::{Batch, Column};
+use hybrid_common::batch::{Batch, Column, SelectionVector};
 use hybrid_common::datum::DataType;
 use hybrid_common::error::{HybridError, Result};
 use hybrid_common::schema::Schema;
@@ -173,96 +183,178 @@ fn chunk_slice<'a>(bytes: &'a [u8], dir: &Directory, col: usize) -> Result<&'a [
 ///
 /// Returns the batch and the number of payload bytes actually touched
 /// (header + directory + projected chunks) — the projection-pushdown I/O
-/// saving measured by the cost model.
+/// saving measured by the cost model. A wrapper over [`ColumnarReader`].
 pub fn decode(
     schema: &Schema,
     bytes: &[u8],
     projection: Option<&[usize]>,
 ) -> Result<(Batch, usize)> {
-    let dir = read_header(bytes)?;
-    if dir.ncols != schema.len() {
-        return Err(HybridError::SchemaMismatch(format!(
-            "columnar payload has {} columns, schema {}",
-            dir.ncols,
-            schema.len()
-        )));
-    }
-    let all: Vec<usize>;
-    let proj: &[usize] = match projection {
-        Some(p) => p,
-        None => {
-            all = (0..dir.ncols).collect();
-            &all
-        }
-    };
-    let mut bytes_read = HEADER_LEN + dir.ncols * 8;
-    let mut columns = Vec::with_capacity(proj.len());
-    for &col in proj {
-        let chunk = chunk_slice(bytes, &dir, col)?;
-        bytes_read += chunk.len();
-        columns.push(decode_chunk(
-            schema.field(col)?.data_type,
-            chunk,
-            dir.nrows,
-        )?);
-    }
-    let out_schema = schema.project(proj)?;
-    Ok((Batch::new(out_schema, columns)?, bytes_read))
+    let r = crate::decode(crate::FileFormat::Columnar, schema, bytes, projection)?;
+    Ok((r.batch, r.bytes_read))
 }
 
-fn decode_chunk(dt: DataType, chunk: &[u8], nrows: usize) -> Result<Column> {
-    let mut pos = 0usize;
+/// One row group opened for reading. The header is checked once; each
+/// column chunk is decoded on demand by [`ColumnarReader::column`].
+pub struct ColumnarReader<'a> {
+    schema: &'a Schema,
+    bytes: &'a [u8],
+    dir: Directory,
+}
+
+impl<'a> ColumnarReader<'a> {
+    /// Check the header and that the row group has `schema`'s width.
+    pub fn open(schema: &'a Schema, bytes: &'a [u8]) -> Result<ColumnarReader<'a>> {
+        let dir = read_header(bytes)?;
+        if dir.ncols != schema.len() {
+            return Err(HybridError::SchemaMismatch(format!(
+                "columnar payload has {} columns, schema {}",
+                dir.ncols,
+                schema.len()
+            )));
+        }
+        Ok(ColumnarReader { schema, bytes, dir })
+    }
+
+    pub fn rows(&self) -> usize {
+        self.dir.nrows
+    }
+
+    /// Payload bytes that reading `cols` touches: header, directory and
+    /// each listed chunk.
+    pub fn bytes_read(&self, cols: &[usize]) -> Result<usize> {
+        cols.iter()
+            .try_fold(HEADER_LEN + self.dir.ncols * 8, |n, &col| {
+                Ok(n + chunk_slice(self.bytes, &self.dir, col)?.len())
+            })
+    }
+
+    /// Decode column `col` at the rows `sel` lists (every row for `None`).
+    /// The whole chunk is walked and every value checked either way; only
+    /// the kept values are stored.
+    pub fn column(&self, col: usize, sel: Option<&SelectionVector>) -> Result<Column> {
+        let chunk = chunk_slice(self.bytes, &self.dir, col)?;
+        let dt = self.schema.field(col)?.data_type;
+        let keep = Keep::new(sel, self.dir.nrows)?;
+        decode_chunk(dt, chunk, self.dir.nrows, keep)
+    }
+}
+
+/// The rows a chunk walk keeps: all of them, or a checked ascending
+/// selection consumed in step with the walk.
+struct Keep<'s> {
+    sel: Option<&'s [u32]>,
+    next: usize,
+}
+
+impl<'s> Keep<'s> {
+    fn new(sel: Option<&'s SelectionVector>, rows: usize) -> Result<Keep<'s>> {
+        if let Some(sel) = sel {
+            crate::format::check_selection(sel, rows)?;
+        }
+        Ok(Keep {
+            sel: sel.map(SelectionVector::as_slice),
+            next: 0,
+        })
+    }
+
+    /// Capacity for the kept values, bounded by the chunk's length so a
+    /// corrupt row count cannot force a huge allocation.
+    fn capacity(&self, nrows: usize, chunk_len: usize) -> usize {
+        self.sel.map_or(nrows.min(chunk_len), <[u32]>::len)
+    }
+
+    /// Whether the walk keeps `row`; rows must be offered in order.
+    #[inline]
+    fn row(&mut self, row: usize) -> bool {
+        match self.sel {
+            None => true,
+            Some(sel) => {
+                let hit = sel.get(self.next) == Some(&(row as u32));
+                self.next += usize::from(hit);
+                hit
+            }
+        }
+    }
+}
+
+fn decode_chunk(dt: DataType, chunk: &[u8], nrows: usize, mut keep: Keep<'_>) -> Result<Column> {
     match dt {
         DataType::I32 | DataType::Date => {
-            let _min = varint::read_i64(chunk, &mut pos)?;
-            let _max = varint::read_i64(chunk, &mut pos)?;
-            let mut v = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                let x = varint::read_i64(chunk, &mut pos)?;
-                let x = i32::try_from(x)
-                    .map_err(|_| HybridError::Storage("i32 chunk value out of range".into()))?;
-                v.push(x);
-            }
+            let v = walk_ints(chunk, nrows, keep, |x| {
+                i32::try_from(x)
+                    .map_err(|_| HybridError::Storage("i32 chunk value out of range".into()))
+            })?;
             Ok(if dt == DataType::I32 {
                 Column::I32(v)
             } else {
                 Column::Date(v)
             })
         }
-        DataType::I64 => {
-            let _min = varint::read_i64(chunk, &mut pos)?;
-            let _max = varint::read_i64(chunk, &mut pos)?;
-            let mut v = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                v.push(varint::read_i64(chunk, &mut pos)?);
-            }
-            Ok(Column::I64(v))
-        }
+        DataType::I64 => Ok(Column::I64(walk_ints(chunk, nrows, keep, Ok)?)),
         DataType::Utf8 => {
-            let mut v: Vec<String> = Vec::with_capacity(nrows);
-            let mut prev = String::new();
-            for _ in 0..nrows {
+            let mut v: Vec<String> = Vec::with_capacity(keep.capacity(nrows, chunk.len()));
+            let mut pos = 0usize;
+            // the current value's bytes, rebuilt in place from its
+            // predecessor; valid UTF-8 after every row, because a prefix
+            // ending on a character boundary keeps it so
+            let mut prev: Vec<u8> = Vec::new();
+            for row in 0..nrows {
                 let shared = varint::read_u64(chunk, &mut pos)? as usize;
                 let suffix_len = varint::read_u64(chunk, &mut pos)? as usize;
-                if shared > prev.len() {
+                let on_boundary = match prev.get(shared) {
+                    Some(&b) => (b as i8) >= -0x40, // not a continuation byte
+                    None => shared == prev.len(),
+                };
+                if !on_boundary {
                     return Err(HybridError::Storage("front-coding prefix overrun".into()));
                 }
                 let suffix = chunk
-                    .get(pos..pos + suffix_len)
+                    .get(pos..)
+                    .and_then(|rest| rest.get(..suffix_len))
                     .ok_or_else(|| HybridError::Storage("front-coded suffix truncated".into()))?;
                 pos += suffix_len;
-                let mut s = String::with_capacity(shared + suffix_len);
-                s.push_str(&prev[..shared]);
-                s.push_str(
-                    std::str::from_utf8(suffix)
-                        .map_err(|_| HybridError::Storage("non-UTF8 string suffix".into()))?,
-                );
-                prev = s.clone();
-                v.push(s);
+                if !suffix.is_ascii() && std::str::from_utf8(suffix).is_err() {
+                    return Err(HybridError::Storage("non-UTF8 string suffix".into()));
+                }
+                prev.truncate(shared);
+                prev.extend_from_slice(suffix);
+                if keep.row(row) {
+                    v.push(
+                        String::from_utf8(prev.clone()).map_err(|_| {
+                            HybridError::Storage("non-UTF8 front-coded value".into())
+                        })?,
+                    );
+                }
             }
             Ok(Column::Utf8(v))
         }
     }
+}
+
+/// Walk an integer chunk: skip its statistics, then decode and check all
+/// `nrows` values, keeping those `keep` selects. Each value is written
+/// unconditionally and the cursor advances by the keep bit, so a selection
+/// costs no branch per row.
+fn walk_ints<T: Copy + Default>(
+    chunk: &[u8],
+    nrows: usize,
+    mut keep: Keep<'_>,
+    check: impl Fn(i64) -> Result<T>,
+) -> Result<Vec<T>> {
+    let capacity = keep.capacity(nrows, chunk.len());
+    let mut pos = 0usize;
+    let _min = varint::read_i64(chunk, &mut pos)?;
+    let _max = varint::read_i64(chunk, &mut pos)?;
+    // `k` counts the values kept so far, never more than `capacity`: at most
+    // the selection's length, and each value takes at least one byte
+    let mut v = vec![T::default(); capacity + 1];
+    let mut k = 0usize;
+    for row in 0..nrows {
+        v[k] = check(varint::read_i64(chunk, &mut pos)?)?;
+        k += usize::from(keep.row(row));
+    }
+    v.truncate(k);
+    Ok(v)
 }
 
 /// Read the min/max statistics of an integer column chunk without decoding
@@ -392,6 +484,22 @@ mod tests {
         let b = batch();
         let bytes = encode(&b);
         assert!(decode(&schema(), &bytes[..bytes.len() - 4], None).is_err());
+    }
+
+    #[test]
+    fn prefix_ending_inside_a_character_is_an_error() {
+        let s = Schema::from_pairs(&[("s", DataType::Utf8)]);
+        let b = Batch::new(s.clone(), vec![Column::Utf8(vec!["é".into(), "éa".into()])]).unwrap();
+        let mut bytes = encode(&b);
+        // chunk: [shared 0, len 2, 0xC3 0xA9, shared 2, len 1, 'a']
+        let second_shared = HEADER_LEN + 8 + 4;
+        assert_eq!(bytes[second_shared], 2);
+        bytes[second_shared] = 1;
+        let err = decode(&s, &bytes, None).unwrap_err();
+        assert_eq!(
+            err,
+            HybridError::Storage("front-coding prefix overrun".into())
+        );
     }
 
     #[test]

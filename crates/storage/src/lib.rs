@@ -25,4 +25,4 @@ pub mod format;
 pub mod text;
 pub mod varint;
 
-pub use format::{decode, encode, DecodeResult, FileFormat};
+pub use format::{decode, encode, BlockReader, DecodeResult, FileFormat};

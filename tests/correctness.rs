@@ -201,3 +201,27 @@ fn column_free_tail_counts_every_joined_row() {
         .unwrap();
     assert_eq!(result, expected, "join_and_aggregate lost column-free rows");
 }
+
+#[test]
+fn column_free_scan_predicate_keeps_all_or_no_rows() {
+    // A local predicate that reads no column of L evaluates to a constant:
+    // the late-materialising scan must expand it to every row of a block
+    // (or none), on both formats and under every plan.
+    use hybrid_common::expr::Expr;
+    let workload = WorkloadSpec::tiny().generate().unwrap();
+    for (bound, keeps_rows) in [(1, true), (-1, false)] {
+        let mut query = workload.query();
+        query.hdfs_pred = Expr::lit_i64(0).le(Expr::lit_i64(bound));
+        let expected = run_reference(&workload.t, &workload.l, &query).unwrap();
+        assert_eq!(expected.num_rows() > 0, keeps_rows);
+        for format in [FileFormat::Columnar, FileFormat::Text] {
+            let mut sys = loaded_system(test_config(3, 4), &workload, format);
+            let algorithms = all_algorithms();
+            assert_eq!(algorithms.len(), 8);
+            for alg in algorithms {
+                let out = run(&mut sys, &query, alg).unwrap();
+                assert_eq!(out.result, expected, "{alg} on {format}, hdfs_pred {bound}");
+            }
+        }
+    }
+}
