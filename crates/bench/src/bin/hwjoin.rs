@@ -8,7 +8,8 @@
 //!        [--spill-limit ROWS] [--mem-budget BYTES] [--timeline PATH]
 //!        [--replan-threshold F|off] [--threads N] [--batch-rows N]
 //!        [--dims N] [--planner cascade|hypercube|auto]
-//!        [--serve [--clients N] [--queries N] [--policy fifo|sjf] [--json PATH]]
+//!        [--chaos-seed N] [--fault-rate R]
+//!        [--listen ADDR [--policy fifo|sjf] | --connect ADDR]
 //! ```
 //!
 //! Generates the paper's workload at the requested selectivities, executes
@@ -54,10 +55,6 @@
 //! `replans` column counts the switches. `off` (the default, also via
 //! `HYBRID_REPLAN_THRESHOLD`) leaves every run byte-for-byte untouched.
 //!
-//! `--serve` switches to serving mode: instead of one join, N client
-//! threads drive a mixed workload through the concurrent query service
-//! (see `svc_bench` for the dedicated benchmark with all its knobs).
-//!
 //! `--dims N` attaches `N` (1–3) dimension tables and runs the star
 //! query `L' ⋈ D0 ⋈ … ⋈ D(N-1)` through the multiway engine instead of a
 //! binary join; dimension cardinalities scale with `--scale` (each is
@@ -72,7 +69,8 @@
 //! `--listen ADDR` starts the framed-TCP front door on `ADDR` instead of
 //! running a join: the workload is generated and loaded, a single `cli`
 //! tenant (token `cli`) is registered, and the server accepts streaming
-//! query connections until Ctrl-C. `--connect ADDR` is the matching
+//! query connections until Ctrl-C; `--policy fifo|sjf` picks the
+//! scheduler's within-tenant order. `--connect ADDR` is the matching
 //! client mode: it dials a running front door, authenticates as `cli`,
 //! sends this invocation's query (binary, or star with `--dims`), and
 //! prints the streamed result summary — the two ends of the wire from one
@@ -84,9 +82,12 @@
 //! backoff, and a run that exhausts recovery reports its typed fault in
 //! the results table instead of aborting the sweep. Same seed, same
 //! faults — `hwjoin --alg all --chaos-seed 7` replays bit-identically.
+//!
+//! Service throughput and latency are measured by the `benchmark` crate's
+//! `svc_tcp_*` workloads and the multi-tenant `svc_soak` binary, not here
+//! (see `benchmark/README.md`).
 
 use hybrid_bench::report::{print_table, secs};
-use hybrid_bench::svc::{build_service_system, serve_workload, ServeOptions};
 use hybrid_bench::{default_system_config, ExpSystem};
 use hybrid_core::{
     best_cascade, best_hypercube, parse_mem_budget, parse_replan_threshold, run_auto, run_star,
@@ -94,7 +95,7 @@ use hybrid_core::{
 };
 use hybrid_costmodel::{cascade_shuffle_bytes, hypercube_shuffle_bytes};
 use hybrid_datagen::{DimSpec, KeySkew, WorkloadSpec};
-use hybrid_service::SchedulePolicy;
+use hybrid_service::{SchedulePolicy, ServiceConfig};
 use hybrid_storage::FileFormat;
 
 fn parse_alg(s: &str) -> Option<JoinAlgorithm> {
@@ -120,8 +121,7 @@ fn usage() -> ! {
          [--replan-threshold F|off] [--timeline PATH] [--threads N] \
          [--batch-rows N] [--dims N] [--planner cascade|hypercube|auto] \
          [--chaos-seed N] [--fault-rate R] \
-         [--listen ADDR | --connect ADDR] \
-         [--serve [--clients N] [--queries N] [--policy fifo|sjf] [--json PATH]]"
+         [--listen ADDR [--policy fifo|sjf] | --connect ADDR]"
     );
     std::process::exit(2)
 }
@@ -136,11 +136,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut timeline_path: Option<String> = None;
     let mut threads: Option<usize> = None;
     let mut batch_rows: Option<usize> = None;
-    let mut serve = false;
     let mut listen: Option<String> = None;
     let mut connect: Option<String> = None;
-    let mut serve_opts = ServeOptions::default();
-    let mut json_path: Option<String> = None;
+    let mut service = ServiceConfig::default();
     let mut chaos_seed: Option<u64> = None;
     let mut fault_rate: Option<f64> = None;
     // applied after parsing so flag order vs --scale does not matter
@@ -184,14 +182,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     }
                 }
             }
-            "--serve" => serve = true,
             "--listen" => listen = Some(value().to_string()),
             "--connect" => connect = Some(value().to_string()),
-            "--clients" => serve_opts.clients = value().parse()?,
-            "--queries" => serve_opts.queries = value().parse()?,
-            "--json" => json_path = Some(value().to_string()),
             "--policy" => {
-                serve_opts.service.policy = match SchedulePolicy::parse(value()) {
+                service.policy = match SchedulePolicy::parse(value()) {
                     Some(p) => p,
                     None => usage(),
                 }
@@ -323,20 +317,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if chaos {
         let seed = chaos_seed.unwrap_or(0);
         let rate = fault_rate.unwrap_or(0.05);
-        serve_opts.chaos_seed = seed;
-        serve_opts.fault_rate = rate;
-        serve_opts.apply_chaos(&mut cfg);
+        if rate > 0.0 {
+            cfg.fault_spec = Some(hybrid_net::FaultSpec::from_seed(seed, rate));
+        }
         println!("chaos: seed {seed}, fault rate {rate}");
     }
 
     if let Some(addr) = listen {
         // server half: load the workload, register the single `cli`
         // tenant, and accept framed-TCP connections until interrupted
-        let (_workload, system) = build_service_system(spec, format, cfg)?;
-        let svc = std::sync::Arc::new(hybrid_service::QueryService::new(
-            system,
-            serve_opts.service.clone(),
-        ));
+        let system = ExpSystem::build_with(spec, format, cfg)?.system;
+        let svc = std::sync::Arc::new(hybrid_service::QueryService::new(system, service));
         let server = hybrid_server::JoinServer::bind(
             svc,
             addr.as_str(),
@@ -380,21 +371,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             reply.exec_time.as_micros(),
             if reply.from_cache { ", cached" } else { "" }
         );
-        return Ok(());
-    }
-
-    if serve {
-        let (workload, system) = build_service_system(spec, format, cfg)?;
-        let report = serve_workload(&workload, system, &serve_opts)?;
-        report.print();
-        if let Some(path) = json_path {
-            std::fs::write(&path, report.to_json())?;
-            eprintln!("report written to {path}");
-        }
-        if report.incorrect > 0 {
-            eprintln!("{} responses diverged from the reference", report.incorrect);
-            std::process::exit(1);
-        }
         return Ok(());
     }
 

@@ -4,7 +4,7 @@
 //! ```text
 //! svc_soak [--tenants N] [--clients N] [--queries N]
 //!          [--scale tiny|small|default] [--threads N]
-//!          [--policy fifo|sjf] [--unfair]
+//!          [--policy fifo|sjf]
 //!          [--quota-inflight N] [--quota-queued N]
 //!          [--verify-every K] [--star-every K] [--disconnect-every K]
 //!          [--deadline-ms MS] [--fault-rate R] [--chaos-seed N]
@@ -36,7 +36,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: svc_soak [--tenants N] [--clients N] [--queries N] \
          [--scale tiny|small|default] [--threads N] [--policy fifo|sjf] \
-         [--unfair] [--quota-inflight N] [--quota-queued N] \
+         [--quota-inflight N] [--quota-queued N] \
          [--verify-every K] [--star-every K] [--disconnect-every K] \
          [--deadline-ms MS] [--fault-rate R] [--chaos-seed N] [--json PATH]"
     );
@@ -58,7 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--clients" => opts.clients_per_tenant = value().parse()?,
             "--queries" => opts.queries = value().parse()?,
             "--threads" => threads = Some(value().parse()?),
-            "--unfair" => opts.service.tenant_fair = false,
             "--quota-inflight" => opts.quota.max_in_flight = value().parse()?,
             "--quota-queued" => opts.quota.max_queued = value().parse()?,
             "--verify-every" => opts.verify_every = value().parse()?,

@@ -16,16 +16,20 @@
 //! | `fig15_bloom_text` | Fig. 15(a,b) |
 //! | `advisor_report` | §5.5 discussion — advisor choices across the grid |
 //!
+//! Beside them sit `hwjoin` (one join, or either end of the framed-TCP
+//! front door), `svc_soak` (the multi-tenant front-door soak and leak
+//! audit), `timeline_report` and the `bench_baseline` volume gate.
+//!
 //! Times reported are **cost-model estimates at paper scale** driven by the
 //! *measured* data volumes of real runs on the scaled workload (see
 //! `hybrid-costmodel`); tuple counts are measured directly. Set
 //! `HYBRID_BENCH_SCALE=tiny|small|default` to trade fidelity for runtime.
+//! Wall-clock time — end to end and per layer — is measured by the
+//! separate `benchmark/` package (see `benchmark/README.md`).
 
 pub mod harness;
 pub mod report;
 pub mod soak;
-pub mod svc;
 
 pub use harness::{default_system_config, spec_from_env, ExpSystem, Measurement};
 pub use soak::{run_soak, SoakOptions, SoakReport, TenantOutcome};
-pub use svc::{serve_workload, EstError, ServeOptions, ServeReport};

@@ -1,7 +1,6 @@
 //! Closed-loop multi-tenant soak over real sockets.
 //!
-//! Where [`crate::svc`] drives an in-process [`QueryService`], this module
-//! drives the full production front door: it binds a
+//! This module drives the full production front door: it binds a
 //! [`hybrid_server::JoinServer`] on a loopback port, connects
 //! `tenants × clients_per_tenant` real [`JoinClient`] connections, and
 //! pushes a mixed stream of binary, star, advisor-routed, deadline-capped
@@ -18,10 +17,12 @@
 //! `front-door-soak` job) with a nonzero exit.
 
 use hybrid_common::error::Result;
+use hybrid_common::expr::Expr;
 use hybrid_common::metrics::HistogramSnapshot;
 use hybrid_core::reference::{run_reference, run_star_reference};
 use hybrid_core::{HybridQuery, HybridSystem, JoinAlgorithm, MultiwayPlanner, SystemConfig};
-use hybrid_datagen::WorkloadSpec;
+use hybrid_datagen::tables::l_cols;
+use hybrid_datagen::{Workload, WorkloadSpec};
 use hybrid_server::{ClientError, JoinClient, JoinServer, Request, ServerConfig, TenantCred};
 use hybrid_service::{QueryService, ServiceConfig, TenantQuota};
 use hybrid_storage::FileFormat;
@@ -104,7 +105,6 @@ pub struct SoakReport {
     pub queries: usize,
     pub threads: usize,
     pub policy: &'static str,
-    pub tenant_fair: bool,
     pub wall: Duration,
     pub fault_rate: f64,
     pub chaos_seed: u64,
@@ -181,7 +181,7 @@ impl SoakReport {
             .collect();
         format!(
             "{{\n  \"tenants\": {},\n  \"clients_per_tenant\": {},\n  \"queries\": {},\n  \
-             \"threads\": {},\n  \"policy\": \"{}\",\n  \"tenant_fair\": {},\n  \
+             \"threads\": {},\n  \"policy\": \"{}\",\n  \
              \"wall_s\": {:.4},\n  \"throughput_qps\": {:.2},\n  \"fault_rate\": {},\n  \
              \"chaos_seed\": {},\n  \"verified\": {},\n  \"incorrect\": {},\n  \
              \"disconnects\": {},\n  \"reconnects\": {},\n  \"svc_retries\": {},\n  \
@@ -192,7 +192,6 @@ impl SoakReport {
             self.queries,
             self.threads,
             self.policy,
-            self.tenant_fair,
             self.wall.as_secs_f64(),
             self.throughput_qps(),
             self.fault_rate,
@@ -211,13 +210,8 @@ impl SoakReport {
 
     pub fn print(&self) {
         println!(
-            "\n== front-door soak: {} tenants x {} clients, {} queries, {} policy{}, {} thread(s) ==",
-            self.tenants,
-            self.clients_per_tenant,
-            self.queries,
-            self.policy,
-            if self.tenant_fair { " (fair)" } else { " (unfair)" },
-            self.threads
+            "\n== front-door soak: {} tenants x {} clients, {} queries, {} policy, {} thread(s) ==",
+            self.tenants, self.clients_per_tenant, self.queries, self.policy, self.threads
         );
         println!(
             "  wall {:.3}s  throughput {:.1} q/s  verified {}  incorrect {}  disconnects {}  reconnects {}",
@@ -293,6 +287,15 @@ fn job_at(j: usize, star_on: bool, star_every: usize, n_binaries: usize) -> Job 
     }
 }
 
+/// The workload query with HDFS-side thresholds tightened by `step` —
+/// same database side (same `BF_DB` key), distinct fingerprint and result.
+pub fn variant(w: &Workload, step: i64) -> HybridQuery {
+    let mut q = w.query();
+    q.hdfs_pred = Expr::col_le(l_cols::COR_PRED, w.thresholds.l_cor - step)
+        .and(Expr::col_le(l_cols::IND_PRED, w.thresholds.l_ind));
+    q
+}
+
 /// Run the soak: generate `spec`, install chaos on `syscfg`, serve over a
 /// loopback socket, drain, audit.
 pub fn run_soak(
@@ -314,7 +317,7 @@ pub fn run_soak(
     // Binary variants share the database side (Bloom-cache hits) but have
     // distinct fingerprints; references come from the raw batches, immune
     // to chaos.
-    let binaries: Vec<HybridQuery> = (0..4).map(|i| crate::svc::variant(&workload, i)).collect();
+    let binaries: Vec<HybridQuery> = (0..4).map(|i| variant(&workload, i)).collect();
     let references: Vec<_> = binaries
         .iter()
         .map(|q| run_reference(&workload.t, &workload.l, q))
@@ -576,7 +579,6 @@ pub fn run_soak(
         queries: opts.queries,
         threads,
         policy: opts.service.policy.name(),
-        tenant_fair: opts.service.tenant_fair,
         wall,
         fault_rate: opts.fault_rate,
         chaos_seed: opts.chaos_seed,

@@ -10,8 +10,8 @@
 //! The original registry was an `Arc<Mutex<BTreeMap<String, u64>>>`: every
 //! increment took a process-wide lock and a string allocation, which
 //! serialized the engines' worker threads once scans and shuffles got busy.
-//! That implementation is preserved as [`MutexMetrics`] so the microbench
-//! can keep comparing against it.
+//! The per-add cost of the replacement is tracked by the `benchmark`
+//! crate's `common.metrics.add_id_ns` kernel (see `benchmark/README.md`).
 //!
 //! The registry is now split in two planes:
 //!
@@ -600,43 +600,6 @@ impl HistogramVec {
     }
 }
 
-/// The original registry: one mutex around a string-keyed map.
-///
-/// Kept verbatim as the A/B baseline for the metrics microbench
-/// (`benches/microbench.rs`); production code uses [`Metrics`].
-#[derive(Debug, Clone, Default)]
-pub struct MutexMetrics {
-    inner: Arc<Mutex<BTreeMap<String, u64>>>,
-}
-
-impl MutexMetrics {
-    pub fn new() -> MutexMetrics {
-        MutexMetrics::default()
-    }
-
-    pub fn add(&self, name: &str, delta: u64) {
-        let mut m = self.inner.lock().expect("metrics mutex poisoned");
-        *m.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    pub fn incr(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    pub fn get(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
-            .expect("metrics mutex poisoned")
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.inner.lock().expect("metrics mutex poisoned").clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,51 +946,6 @@ mod tests {
         assert_eq!(total, (THREADS * OPS) as u64);
     }
 
-    /// Acceptance check for the sharded registry: beat the mutexed map at
-    /// 8+ threads of contended adds. Wall-clock dependent, so `#[ignore]`d
-    /// from the default suite — run with `cargo test -- --ignored`, or see
-    /// the `metrics_contended_add` Criterion group for the full curve.
-    #[test]
-    #[ignore = "timing-sensitive A/B; run explicitly or use the microbench"]
-    fn metrics_registry_contended_sharded_beats_mutex() {
-        const THREADS: usize = 8;
-        const OPS: usize = 200_000;
-        let sharded = Metrics::new();
-        let id = sharded.register("contended");
-        let t0 = std::time::Instant::now();
-        thread::scope(|s| {
-            for _ in 0..THREADS {
-                let m = sharded.clone();
-                s.spawn(move || {
-                    for _ in 0..OPS {
-                        m.add_id(id, 1);
-                    }
-                });
-            }
-        });
-        let sharded_elapsed = t0.elapsed();
-        assert_eq!(sharded.get_id(id), (THREADS * OPS) as u64);
-
-        let mutexed = MutexMetrics::new();
-        let t0 = std::time::Instant::now();
-        thread::scope(|s| {
-            for _ in 0..THREADS {
-                let m = mutexed.clone();
-                s.spawn(move || {
-                    for _ in 0..OPS {
-                        m.add("contended", 1);
-                    }
-                });
-            }
-        });
-        let mutex_elapsed = t0.elapsed();
-        assert_eq!(mutexed.get("contended"), (THREADS * OPS) as u64);
-        assert!(
-            sharded_elapsed < mutex_elapsed,
-            "sharded {sharded_elapsed:?} not faster than mutex {mutex_elapsed:?} at {THREADS} threads"
-        );
-    }
-
     #[test]
     fn many_counters_cross_chunk_boundary() {
         let m = Metrics::new();
@@ -1040,14 +958,5 @@ mod tests {
             assert_eq!(m.get_id(*id), i as u64 + 1);
         }
         assert_eq!(m.snapshot().len(), n);
-    }
-
-    #[test]
-    fn mutex_baseline_still_works() {
-        let m = MutexMetrics::new();
-        m.add("x", 2);
-        m.incr("x");
-        assert_eq!(m.get("x"), 3);
-        assert_eq!(m.snapshot().get("x"), Some(&3));
     }
 }

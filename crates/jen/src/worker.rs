@@ -261,28 +261,10 @@ impl JenWorker {
         &self.hdfs
     }
 
-    /// Collect the distinct-ish join keys of a filtered batch into a Bloom
-    /// filter (zigzag step 3b: "compute `BF_H`"). `key_col` indexes into
-    /// `batch` (the already-projected output of [`JenWorker::scan_blocks`]).
-    pub fn build_bloom_from(
-        &self,
-        batch: &Batch,
-        key_col: usize,
-        mut filter: BloomFilter,
-    ) -> Result<BloomFilter> {
-        let keys = batch.column(key_col)?.keys_i64()?;
-        let span = self.tracer.start(self.span_label(), Stage::BloomBuild);
-        filter.insert_all(&keys);
-        span.done(filter.wire_bytes() as u64, batch.num_rows() as u64);
-        self.metrics
-            .add("jen.bloom.keys_inserted", batch.num_rows() as u64);
-        Ok(filter)
-    }
-
-    /// [`JenWorker::build_bloom_from`] over a sequence of block batches —
-    /// the shape the batched scan produces. One BloomBuild span and one
-    /// metering add cover the whole share (identical trace cardinality and
-    /// counter totals to building from the concatenation); each block's key
+    /// Collect the join keys of this worker's filtered block batches into
+    /// a Bloom filter (zigzag step 3b: "compute `BF_H`"). `key_col` indexes
+    /// into each batch (the already-projected scan output). One BloomBuild
+    /// span and one metering add cover the whole share; each block's key
     /// column is widened once and inserted vectorized.
     pub fn build_bloom_from_blocks(
         &self,
@@ -301,11 +283,6 @@ impl JenWorker {
         self.metrics.add("jen.bloom.keys_inserted", rows);
         Ok(filter)
     }
-}
-
-/// `true` when a bloom filter would accept the key — exposed for tests.
-pub fn bloom_accepts(bf: &BloomFilter, key: i64) -> bool {
-    bf.may_contain(key)
 }
 
 #[cfg(test)]
@@ -423,7 +400,7 @@ mod tests {
         // all surviving keys are in the filter (no false negatives ever)
         let keys = out.column(0).unwrap().as_i32().unwrap();
         for &k in keys {
-            assert!(bloom_accepts(&bf, i64::from(k)));
+            assert!(bf.may_contain(i64::from(k)));
         }
         // true members with indPred<=1 pass: keys 0..10 with indPred<=1 → 5 rows minimum
         assert!(stats.rows_after_bloom >= 5);
@@ -443,8 +420,8 @@ mod tests {
         let (w, meta, ids, m) = setup(FileFormat::Columnar);
         let (out, _) = w.scan_blocks(&meta, &ids, &spec(), None).unwrap();
         let bf = w
-            .build_bloom_from(
-                &out,
+            .build_bloom_from_blocks(
+                std::slice::from_ref(&out),
                 0,
                 BloomFilter::new(BloomParams::new(1 << 14, 2).unwrap()),
             )

@@ -850,18 +850,6 @@ impl<M: Wire> Fabric<M> {
         }
     }
 
-    /// Send clones of `msg` to every endpoint in `tos` (broadcast /
-    /// multicast — each clone is metered on its own link).
-    pub fn send_all(&self, from: Endpoint, tos: &[Endpoint], msg: &M) -> Result<()>
-    where
-        M: Clone,
-    {
-        for &to in tos {
-            self.send(from, to, msg.clone())?;
-        }
-        Ok(())
-    }
-
     /// The receiving half of `endpoint`'s inbox in this handle's namespace.
     pub fn receiver(&self, endpoint: Endpoint) -> Result<Receiver<Delivery<M>>> {
         self.inner
@@ -1076,15 +1064,17 @@ mod tests {
         let db0 = Endpoint::Db(DbWorkerId(0));
         let targets = f.jen_endpoints();
         assert_eq!(targets.len(), 3);
-        f.send_all(
-            db0,
-            &targets,
-            &Msg {
-                bytes: 10,
-                tuples: 5,
-            },
-        )
-        .unwrap();
+        for &to in &targets {
+            f.send(
+                db0,
+                to,
+                Msg {
+                    bytes: 10,
+                    tuples: 5,
+                },
+            )
+            .unwrap();
+        }
         assert_eq!(f.metrics().get("net.cross.bytes"), 30);
         assert_eq!(f.metrics().get("net.cross.tuples"), 15);
     }

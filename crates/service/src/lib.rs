@@ -35,15 +35,14 @@
 //!   ([`ResultCache`], `svc.cache.result.*`), both LRU-bounded and
 //!   invalidated when a table is rewritten through the service's load
 //!   methods.
-//! * **Latency accounting**: lock-free [`Histogram`]s for total, queue and
-//!   execution latency — global and per tenant — with mergeable snapshots
-//!   and p50/p95/p99.
+//! * **Latency accounting**: lock-free [`Histogram`]s for total and
+//!   queue-wait latency — global and per tenant — with mergeable snapshots
+//!   and p50/p95/p99; each response carries its own execution time.
 //!
 //! The service is *closed-loop*: [`QueryService::submit_as`] runs on the
 //! calling client thread (queueing blocks it), which is exactly the shape
 //! of the framed-TCP front end in `crates/server` (one connection handler
-//! thread per client) and of the `svc_bench`/`svc_soak` drivers in
-//! `crates/bench`.
+//! thread per client) and of the `svc_soak` driver in `crates/bench`.
 
 mod result_cache;
 mod sched;
@@ -165,11 +164,6 @@ pub struct ServiceConfig {
     /// How long a queued query may wait before timing out.
     pub queue_timeout: Duration,
     pub policy: SchedulePolicy,
-    /// Weighted round-robin across tenant queues (on by default). Off
-    /// reproduces the pre-tenancy scheduler: one flat queue under
-    /// `policy`, where a flooding tenant can starve others — the pinned
-    /// counter-example in the scheduler tests.
-    pub tenant_fair: bool,
     /// Result-cache entries (0 disables result caching).
     pub result_cache_capacity: usize,
     /// Bloom-cache entries (0 disables `BF_DB` caching).
@@ -192,7 +186,6 @@ impl Default for ServiceConfig {
             max_queued: 64,
             queue_timeout: Duration::from_secs(30),
             policy: SchedulePolicy::Fifo,
-            tenant_fair: true,
             result_cache_capacity: 64,
             bloom_cache_capacity: 32,
             sample_blocks: 4,
@@ -312,10 +305,8 @@ pub struct QueryService {
     next_seq: AtomicU64,
     latency_us: Histogram,
     queue_us: Histogram,
-    exec_us: Histogram,
     tenant_latency_us: HistogramVec,
     tenant_queue_us: HistogramVec,
-    tenant_exec_us: HistogramVec,
 }
 
 impl QueryService {
@@ -348,7 +339,6 @@ impl QueryService {
             cfg.max_queued,
             cfg.queue_timeout,
             cfg.policy,
-            cfg.tenant_fair,
         );
         let svc = QueryService {
             root: RwLock::new(system),
@@ -359,10 +349,8 @@ impl QueryService {
             next_seq: AtomicU64::new(0),
             latency_us: Histogram::new(),
             queue_us: Histogram::new(),
-            exec_us: Histogram::new(),
             tenant_latency_us: HistogramVec::new(),
             tenant_queue_us: HistogramVec::new(),
-            tenant_exec_us: HistogramVec::new(),
         };
         svc.register_tenant_counters("default");
         svc
@@ -443,12 +431,6 @@ impl QueryService {
         self.queue_us.snapshot()
     }
 
-    /// Admission→result execution distribution of *executions*, in
-    /// microseconds. Cache hits execute nothing and are not recorded.
-    pub fn exec_histogram(&self) -> HistogramSnapshot {
-        self.exec_us.snapshot()
-    }
-
     /// Per-tenant submission→result latency snapshots, keyed by tenant
     /// name.
     pub fn tenant_latency_histograms(&self) -> BTreeMap<String, HistogramSnapshot> {
@@ -458,11 +440,6 @@ impl QueryService {
     /// Per-tenant queue-wait snapshots, keyed by tenant name.
     pub fn tenant_queue_histograms(&self) -> BTreeMap<String, HistogramSnapshot> {
         self.tenant_queue_us.snapshot_all()
-    }
-
-    /// Per-tenant execution-time snapshots, keyed by tenant name.
-    pub fn tenant_exec_histograms(&self) -> BTreeMap<String, HistogramSnapshot> {
-        self.tenant_exec_us.snapshot_all()
     }
 
     /// The fabric namespace for attempt `seq` of a `tenant` query: the
@@ -516,9 +493,9 @@ impl QueryService {
         // admission slot is consumed, no execution happens.
         if let Some(hit) = self.results.get(&req.query) {
             let latency = start.elapsed();
-            // Hits land in the total-latency histogram only: the queue and
-            // exec histograms describe executions, and recording zeros
-            // here would dilute their quantiles.
+            // Hits land in the total-latency histogram only: the queue
+            // histogram describes executions, and recording zeros here
+            // would dilute its quantiles.
             self.latency_us.record(latency.as_micros() as u64);
             self.tenant_latency_us
                 .record(&tenant_name, latency.as_micros() as u64);
@@ -632,7 +609,7 @@ impl QueryService {
             },
             generations,
         );
-        self.record_latencies(&tenant_name, latency, queue_wait, exec_time);
+        self.record_latencies(&tenant_name, latency, queue_wait);
         self.metrics.add("svc.completed", 1);
         self.tenant_incr(&tenant_name, "completed");
         Ok(QueryResponse {
@@ -689,7 +666,7 @@ impl QueryService {
             .copied()
             .unwrap_or(0)
             == 1;
-        self.record_latencies(&tenant_name, latency, queue_wait, exec_time);
+        self.record_latencies(&tenant_name, latency, queue_wait);
         self.metrics.add("svc.completed", 1);
         self.tenant_incr(&tenant_name, "completed");
         Ok(StarResponse {
@@ -703,22 +680,13 @@ impl QueryService {
         })
     }
 
-    fn record_latencies(
-        &self,
-        tenant_name: &str,
-        latency: Duration,
-        queue_wait: Duration,
-        exec_time: Duration,
-    ) {
+    fn record_latencies(&self, tenant_name: &str, latency: Duration, queue_wait: Duration) {
         self.latency_us.record(latency.as_micros() as u64);
         self.queue_us.record(queue_wait.as_micros() as u64);
-        self.exec_us.record(exec_time.as_micros() as u64);
         self.tenant_latency_us
             .record(tenant_name, latency.as_micros() as u64);
         self.tenant_queue_us
             .record(tenant_name, queue_wait.as_micros() as u64);
-        self.tenant_exec_us
-            .record(tenant_name, exec_time.as_micros() as u64);
     }
 
     /// Run `body` on a private session while holding an already-granted

@@ -13,7 +13,7 @@
 //! When a slot frees, *which* waiting query starts is decided in two
 //! steps:
 //!
-//! 1. **Across tenants** (only when `fair` is on): weighted virtual-time
+//! 1. **Across tenants**: weighted virtual-time
 //!    round-robin. Every grant advances the tenant's virtual clock by
 //!    `VTIME_SCALE / weight`; the eligible tenant with the smallest clock
 //!    runs next, so a tenant with weight `w` gets a `w`-proportional share
@@ -26,11 +26,9 @@
 //!    (arrival order) or SJF (shortest estimated cost first, arrival
 //!    order breaking ties).
 //!
-//! With `fair` off, the policy applies across *all* tenants' tickets at
-//! once — which is exactly the paper-service behavior before tenancy, and
-//! also the pinned starvation counter-example: under SJF a flood of
-//! cheap queries starves an expensive one forever (see
-//! `unfair_sjf_starves_the_expensive_tenant_fair_mode_does_not`).
+//! Step 1 is what keeps SJF from starving an expensive query behind a
+//! flood of cheap ones from another tenant (see
+//! `fair_mode_schedules_a_flooded_victim_within_two_grants`).
 //!
 //! New arrivals never barge past a startable waiter: a submission is only
 //! fast-pathed into a slot when no queued ticket could start right now.
@@ -39,8 +37,8 @@ use crate::{ServiceError, TenantQuota};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Which waiting query (within one tenant, or globally with fairness off)
-/// runs when an execution slot frees up.
+/// Which waiting query within one tenant runs when an execution slot
+/// frees up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulePolicy {
     /// Arrival order.
@@ -134,7 +132,6 @@ pub(crate) struct Scheduler {
     max_queued: usize,
     queue_timeout: Duration,
     policy: SchedulePolicy,
-    fair: bool,
     state: Mutex<State>,
     cv: Condvar,
 }
@@ -151,14 +148,12 @@ impl Scheduler {
         max_queued: usize,
         queue_timeout: Duration,
         policy: SchedulePolicy,
-        fair: bool,
     ) -> Scheduler {
         let s = Scheduler {
             max_in_flight: max_in_flight.max(1),
             max_queued,
             queue_timeout,
             policy,
-            fair,
             state: Mutex::new(State {
                 in_flight: 0,
                 queued: 0,
@@ -219,42 +214,18 @@ impl Scheduler {
     /// per-tenant in-flight caps — `None` when no queued ticket can start.
     /// The *global* slot check is the caller's.
     fn chosen(&self, st: &State) -> Option<(usize, u64)> {
-        if self.fair {
-            // Across tenants: smallest virtual clock among those with a
-            // queued ticket and a free tenant slot; ties break toward the
-            // oldest head ticket so equal-clock tenants alternate stably.
-            st.tenants
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| !t.queue.is_empty() && t.below_cap())
-                .min_by_key(|(_, t)| {
-                    let head = self.best_of(&t.queue).map(|b| b.seq).unwrap_or(u64::MAX);
-                    (t.vtime, head)
-                })
-                .and_then(|(i, t)| self.best_of(&t.queue).map(|b| (i, b.seq)))
-        } else {
-            // No fairness: one flat queue under the policy (per-tenant
-            // in-flight caps still apply).
-            let mut best: Option<(usize, Ticket)> = None;
-            for (i, t) in st.tenants.iter().enumerate() {
-                if !t.below_cap() {
-                    continue;
-                }
-                if let Some(b) = self.best_of(&t.queue) {
-                    let better = match (&best, self.policy) {
-                        (None, _) => true,
-                        (Some((_, cur)), SchedulePolicy::Fifo) => b.seq < cur.seq,
-                        (Some((_, cur)), SchedulePolicy::Sjf) => {
-                            b.cost < cur.cost || (b.cost == cur.cost && b.seq < cur.seq)
-                        }
-                    };
-                    if better {
-                        best = Some((i, b));
-                    }
-                }
-            }
-            best.map(|(i, b)| (i, b.seq))
-        }
+        // Across tenants: smallest virtual clock among those with a queued
+        // ticket and a free tenant slot; ties break toward the oldest head
+        // ticket so equal-clock tenants alternate stably.
+        st.tenants
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !t.queue.is_empty() && t.below_cap())
+            .min_by_key(|(_, t)| {
+                let head = self.best_of(&t.queue).map(|b| b.seq).unwrap_or(u64::MAX);
+                (t.vtime, head)
+            })
+            .and_then(|(i, t)| self.best_of(&t.queue).map(|b| (i, b.seq)))
     }
 
     /// Grant a slot to `tenant`: bump both in-flight counts and advance
@@ -398,7 +369,6 @@ mod tests {
             max_queued,
             Duration::from_secs(5),
             policy,
-            true,
         ))
     }
 
@@ -462,7 +432,6 @@ mod tests {
             16,
             Duration::from_secs(5),
             SchedulePolicy::Fifo,
-            true,
         ));
         let capped = s.add_tenant(
             "capped",
@@ -508,7 +477,7 @@ mod tests {
                 SchedulePolicy::Sjf
             };
             let extra_waiters = rng.gen_range(0..3usize);
-            let s = Arc::new(Scheduler::new(1, 4, timeout, policy, seed % 2 == 0));
+            let s = Arc::new(Scheduler::new(1, 4, timeout, policy));
             s.admit(0, 0, 1.0, None).unwrap();
             let handles: Vec<_> = (0..extra_waiters)
                 .map(|i| {
@@ -553,7 +522,6 @@ mod tests {
             4,
             Duration::from_secs(30),
             SchedulePolicy::Fifo,
-            true,
         ));
         s.admit(0, 0, 1.0, None).unwrap();
         let deadline = Duration::from_millis(20);
@@ -630,7 +598,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         // 100 seeded schedules: each seed perturbs the slot count, the
-        // policy, fairness on/off, the waiters' costs and arrival jitter,
+        // policy, the waiters' costs and arrival jitter,
         // and — the key lever for this race — the gap between the
         // releases.
         for seed in 0..100u64 {
@@ -647,7 +615,6 @@ mod tests {
                 waiters + 1,
                 Duration::from_secs(10),
                 policy,
-                seed % 2 == 0,
             ));
             // spread the holders and waiters across two tenants so the
             // fair path's tenant selection is exercised too
@@ -702,14 +669,13 @@ mod tests {
     /// Drive the selection function directly through a flood-vs-victim
     /// schedule: one slot, the flooding tenant always has a cheap ticket
     /// queued (replenished after every grant), the victim tenant has one
-    /// expensive ticket. This is the pinned starvation counter-example —
-    /// with fairness off, SJF picks the flood's cheap ticket on every one
-    /// of 10 000 grants and the victim never runs; with weighted
-    /// round-robin on, the victim is chosen within two grants.
+    /// expensive ticket. Weighted round-robin across tenants chooses the
+    /// victim within two grants under either intra-tenant policy — SJF
+    /// alone would pick the flood's cheap ticket forever.
     #[test]
-    fn unfair_sjf_starves_the_expensive_tenant_fair_mode_does_not() {
-        let grants_until_victim = |fair: bool, max_grants: usize| -> Option<usize> {
-            let s = Scheduler::new(1, 64, Duration::from_secs(5), SchedulePolicy::Sjf, fair);
+    fn fair_mode_schedules_a_flooded_victim_within_two_grants() {
+        let grants_until_victim = |policy: SchedulePolicy, max_grants: usize| -> Option<usize> {
+            let s = Scheduler::new(1, 64, Duration::from_secs(5), policy);
             let flood = DEFAULT_TENANT;
             let victim = s.add_tenant("victim", TenantQuota::unlimited());
             let mut st = s.state.lock().unwrap();
@@ -738,20 +704,18 @@ mod tests {
             }
             None
         };
-        assert_eq!(
-            grants_until_victim(false, 10_000),
-            None,
-            "unfair SJF must starve the expensive tenant (the counter-example)"
-        );
-        let g = grants_until_victim(true, 10_000).expect("fair mode must schedule the victim");
-        assert!(g <= 2, "fair mode chose the victim after {g} grants");
+        for policy in [SchedulePolicy::Fifo, SchedulePolicy::Sjf] {
+            let g = grants_until_victim(policy, 10_000)
+                .unwrap_or_else(|| panic!("{policy:?}: the victim must be scheduled"));
+            assert!(g <= 2, "{policy:?}: the victim ran after {g} grants");
+        }
     }
 
     /// Weighted share: tenants at weight 3 and 1 with always-full queues
     /// split 1000 grants 3:1 (±1 grant of rounding).
     #[test]
     fn weights_split_grants_proportionally() {
-        let s = Scheduler::new(1, 64, Duration::from_secs(5), SchedulePolicy::Fifo, true);
+        let s = Scheduler::new(1, 64, Duration::from_secs(5), SchedulePolicy::Fifo);
         let heavy = s.add_tenant(
             "heavy",
             TenantQuota {
@@ -798,7 +762,7 @@ mod tests {
     /// wakes — its first grant comes at parity with the active tenant.
     #[test]
     fn idle_tenant_banks_no_credit() {
-        let s = Scheduler::new(2, 64, Duration::from_secs(5), SchedulePolicy::Fifo, true);
+        let s = Scheduler::new(2, 64, Duration::from_secs(5), SchedulePolicy::Fifo);
         let sleeper = s.add_tenant("sleeper", TenantQuota::unlimited());
         // the default tenant runs 100 queries while the sleeper idles
         for seq in 0..100 {

@@ -15,8 +15,7 @@
 //!     conservation law still balances;
 //!   * `run_soak` at small scale comes back `clean()` under chaos.
 
-use hybrid_bench::soak::{run_soak, SoakOptions};
-use hybrid_bench::svc::variant;
+use hybrid_bench::soak::{run_soak, variant, SoakOptions};
 use hybrid_core::reference::{run_reference, run_star_reference};
 use hybrid_core::{HybridSystem, JoinAlgorithm, MultiwayPlanner, SystemConfig};
 use hybrid_datagen::{Workload, WorkloadSpec};
