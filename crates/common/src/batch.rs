@@ -219,15 +219,15 @@ impl Column {
         Ok(())
     }
 
-    /// Gather `refs` — `(part, row)` pairs — from `parts`, columns of type
-    /// `dt` split across batches (a hash join's build side arrives as many).
-    pub(crate) fn gather_parts(
-        dt: DataType,
+    /// Gather-append `refs` — `(part, row)` pairs — from `parts`, columns
+    /// of `self`'s type split across batches (a hash join's build side
+    /// arrives as many).
+    pub(crate) fn extend_gather_parts(
+        &mut self,
         parts: &[&Column],
         refs: &[(u32, u32)],
-    ) -> Result<Column> {
-        let mut out = Column::with_capacity(dt, refs.len());
-        match &mut out {
+    ) -> Result<()> {
+        match self {
             Column::I32(d) | Column::Date(d) => {
                 let src = parts
                     .iter()
@@ -253,7 +253,7 @@ impl Column {
                 );
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Append all of `src` (same type) onto `self`.
@@ -481,10 +481,15 @@ pub struct BatchBuilder {
 
 impl BatchBuilder {
     pub fn new(schema: Schema) -> BatchBuilder {
+        BatchBuilder::with_capacity(schema, 64)
+    }
+
+    /// A builder with room for `rows` rows in every column.
+    pub fn with_capacity(schema: Schema, rows: usize) -> BatchBuilder {
         let columns = schema
             .fields()
             .iter()
-            .map(|f| Column::with_capacity(f.data_type, 64))
+            .map(|f| Column::with_capacity(f.data_type, rows))
             .collect();
         BatchBuilder {
             schema,
@@ -509,6 +514,19 @@ impl BatchBuilder {
             dst.extend_take(col, rows)?;
         }
         self.rows += rows.len();
+        Ok(())
+    }
+
+    /// Append `rows` rows column-at-a-time: `fill` must append exactly
+    /// that many values onto every column.
+    pub(crate) fn append_columns(
+        &mut self,
+        rows: usize,
+        fill: impl FnOnce(&mut [Column]) -> Result<()>,
+    ) -> Result<()> {
+        fill(&mut self.columns)?;
+        debug_assert!(self.columns.iter().all(|c| c.len() == self.rows + rows));
+        self.rows += rows;
         Ok(())
     }
 
@@ -608,15 +626,22 @@ mod tests {
 
     #[test]
     fn gather_parts_reads_across_batches() {
+        let gather = |dt, parts: &[&Column], refs: &[(u32, u32)]| {
+            let mut out = Column::with_capacity(dt, 0);
+            out.extend_gather_parts(parts, refs).map(|()| out)
+        };
         let a = Column::Utf8(vec!["a".into(), "b".into()]);
         let b = Column::Utf8(vec!["c".into()]);
-        let got =
-            Column::gather_parts(DataType::Utf8, &[&a, &b], &[(1, 0), (0, 1), (1, 0)]).unwrap();
+        let got = gather(DataType::Utf8, &[&a, &b], &[(1, 0), (0, 1), (1, 0)]).unwrap();
         assert_eq!(got, Column::Utf8(vec!["c".into(), "b".into(), "c".into()]));
         let x = Column::Date(vec![5, 6]);
-        let got = Column::gather_parts(DataType::Date, &[&x], &[(0, 1)]).unwrap();
+        let got = gather(DataType::Date, &[&x], &[(0, 1)]).unwrap();
         assert_eq!(got, Column::Date(vec![6]));
-        assert!(Column::gather_parts(DataType::I64, &[&x], &[]).is_err());
+        assert!(gather(DataType::I64, &[&x], &[]).is_err());
+        // appending keeps what is already there
+        let mut out = Column::Date(vec![1]);
+        out.extend_gather_parts(&[&x], &[(0, 0)]).unwrap();
+        assert_eq!(out, Column::Date(vec![1, 5]));
     }
 
     #[test]

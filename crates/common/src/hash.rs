@@ -1,7 +1,8 @@
 //! Hashing utilities.
 //!
-//! Three distinct hash roles appear in the paper, and they must be kept
-//! separate so that correlated hashes do not bias one another:
+//! Three distinct hash roles appear in the paper, plus one of this
+//! implementation's, and they must be kept separate so that correlated
+//! hashes do not bias one another:
 //!
 //! 1. the **agreed shuffle hash** shared by the database and JEN to route
 //!    tuples to the JEN worker that owns a join-key partition (§3.3, §4.3);
@@ -9,7 +10,11 @@
 //!    rows across DB workers (the paper notes the DB's internal function is
 //!    *not* exposed to the HDFS side — we keep it a different function);
 //! 3. the **Bloom filter hash family**, which derives `k` independent hashes
-//!    from two base hashes (Kirsch–Mitzenmacher double hashing).
+//!    from two base hashes (Kirsch–Mitzenmacher double hashing);
+//! 4. the **join-table hash** that places a key in a local hash join's
+//!    open-addressing index. Every key a JEN worker holds was routed there
+//!    by role 1, so reusing role 1 would crowd those keys into correlated
+//!    buckets; an independent seed spreads them.
 //!
 //! All functions are deterministic across runs and platforms so that the
 //! experiment harness is reproducible.
@@ -62,6 +67,14 @@ pub fn bloom_base_hashes(key: i64) -> (u64, u64) {
     (h1, h2)
 }
 
+/// The join-table hash (role 4): the bucket hash of a local hash join's
+/// key index, independent of the routing hash that put the key on this
+/// worker.
+#[inline]
+pub fn join_table_hash(key: i64) -> u64 {
+    hash_key_seeded(key, 0x701A_7AB1_E000_5EED)
+}
+
 /// Hash arbitrary bytes (group-by over strings).
 #[inline]
 pub fn hash_bytes(bytes: &[u8], seed: u64) -> u64 {
@@ -110,6 +123,17 @@ mod tests {
             .count();
         // Expect ~1/16 agreement by chance; assert well below half.
         assert!(same < 1500, "agreed/db hashes too correlated: {same}");
+    }
+
+    #[test]
+    fn join_table_hash_is_independent_of_routing() {
+        // keys that all route to worker 0 of 16 must still spread over
+        // the low bits a join table masks its buckets with
+        let mut buckets = HashSet::new();
+        for k in (0..100_000i64).filter(|&k| agreed_shuffle_partition(k, 16) == 0) {
+            buckets.insert(join_table_hash(k) & 15);
+        }
+        assert_eq!(buckets.len(), 16);
     }
 
     #[test]

@@ -11,14 +11,17 @@
 //! 3. Gather only the group and aggregate columns for the survivors, and
 //!    fold them into a [`HashAggregator`].
 //!
-//! A batch that is already joined (a star cascade's last intermediate) runs
-//! through the same three stages, so predicate → group → aggregate exists
-//! once.
+//! A star join probes all its dimension tables at once
+//! ([`JoinAggregator::probe_star`]): the matches are tuples of one fact row
+//! and one build row per dimension, and the binary probe is the case of
+//! one table. A batch that is already joined (a spilled star join's last
+//! intermediate) runs through the same three stages, so predicate → group
+//! → aggregate exists once.
 
 use crate::batch::{Batch, SelectionVector};
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::ops::hash_join::{HashJoiner, JoinPairs};
+use crate::ops::hash_join::{gather, probe_pairs, HashJoiner, JoinPairs};
 use crate::ops::{AggSpec, HashAggregator};
 
 /// Folds joined rows — probe matches or a materialised batch — into one
@@ -89,9 +92,22 @@ impl JoinAggregator {
 
     /// Probe `joiner` with one batch and fold its matches.
     pub fn probe(&mut self, joiner: &HashJoiner, probe: &Batch, probe_key: usize) -> Result<()> {
-        let pairs = joiner.probe_pairs(probe, probe_key)?;
+        self.probe_star(&[joiner], probe, &[probe_key])
+    }
+
+    /// Probe every table of `joiners` with one batch — table `axis` by
+    /// probe column `probe_keys[axis]` — and fold the joined tuples.
+    /// Expressions address the layout `build_{k-1} ++ … ++ build_0 ++
+    /// probe`, which a chain of binary joins would have materialised.
+    pub fn probe_star(
+        &mut self,
+        joiners: &[&HashJoiner],
+        probe: &Batch,
+        probe_keys: &[usize],
+    ) -> Result<()> {
+        let pairs = probe_pairs(joiners, probe, probe_keys)?;
         self.fold(&mut Matches {
-            joiner,
+            joiners,
             probe,
             pairs,
         })
@@ -151,14 +167,14 @@ trait JoinedRows {
 
 /// One probe batch's matches, joined lazily.
 struct Matches<'a> {
-    joiner: &'a HashJoiner,
+    joiners: &'a [&'a HashJoiner],
     probe: &'a Batch,
     pairs: JoinPairs,
 }
 
 impl JoinedRows for Matches<'_> {
     fn gather(&self, cols: &[usize]) -> Result<Batch> {
-        self.joiner.gather(&self.pairs, self.probe, cols)
+        gather(self.joiners, self.probe, &self.pairs, cols)
     }
 
     fn retain(&mut self, mask: &[bool]) {
@@ -363,6 +379,157 @@ mod proptests {
             let expected = expected.finish();
             prop_assert_eq!(&consumed.finish(), &expected);
             prop_assert_eq!(sink.finish(), expected);
+        }
+    }
+}
+
+#[cfg(test)]
+mod star_proptests {
+    use super::*;
+    use crate::batch::Column;
+    use crate::datum::{DataType, Datum};
+    use crate::schema::Schema;
+    use proptest::prelude::*;
+
+    /// Dimension `axis` is `(key, value, tag)`; its key type is `I32`,
+    /// `I64` and `Date` on axes 0, 1 and 2, and the tag a `Utf8` column.
+    fn dim_batch(axis: usize, rows: &[(i32, i64, u8)]) -> Batch {
+        let key_type = [DataType::I32, DataType::I64, DataType::Date][axis];
+        let keys: Vec<i32> = rows.iter().map(|r| r.0).collect();
+        let key = match key_type {
+            DataType::I32 => Column::I32(keys),
+            DataType::I64 => Column::I64(keys.into_iter().map(i64::from).collect()),
+            _ => Column::Date(keys),
+        };
+        Batch::new(
+            Schema::from_pairs(&[("k", key_type), ("v", DataType::I64), ("s", DataType::Utf8)]),
+            vec![
+                key,
+                Column::I64(rows.iter().map(|r| r.1).collect()),
+                Column::Utf8(
+                    rows.iter()
+                        .map(|r| format!("url_{}/d{axis}", r.2))
+                        .collect(),
+                ),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// The fact: one foreign key per dimension, typed to match, and a value.
+    fn fact_batch(rows: &[(i32, i32, i32, i64)]) -> Batch {
+        Batch::new(
+            Schema::from_pairs(&[
+                ("f0", DataType::I32),
+                ("f1", DataType::I64),
+                ("f2", DataType::Date),
+                ("fv", DataType::I64),
+            ]),
+            vec![
+                Column::I32(rows.iter().map(|r| r.0).collect()),
+                Column::I64(rows.iter().map(|r| i64::from(r.1)).collect()),
+                Column::Date(rows.iter().map(|r| r.2).collect()),
+                Column::I64(rows.iter().map(|r| r.3).collect()),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// Build batches per dimension: several, duplicate keys, and now and
+    /// then a dimension with no rows at all.
+    fn dims() -> impl Strategy<Value = Vec<Vec<Vec<(i32, i64, u8)>>>> {
+        proptest::collection::vec(
+            proptest::collection::vec(
+                proptest::collection::vec((0i32..5, -40i64..40, 0u8..4), 0..6),
+                0..3,
+            ),
+            3..=3,
+        )
+    }
+
+    fn facts() -> impl Strategy<Value = Vec<Vec<(i32, i32, i32, i64)>>> {
+        proptest::collection::vec(
+            proptest::collection::vec((0i32..6, 0i32..6, 0i32..6, -40i64..40), 0..10),
+            0..3,
+        )
+    }
+
+    /// Query shapes over the joined layout `dim_{k-1} ++ … ++ dim_0 ++
+    /// fact`, where dimension `a` starts at `3 (k - 1 - a)` and the fact at
+    /// `3k`.
+    fn shape(k: usize, pick: u8, t: i64) -> (Option<Expr>, Expr, Vec<AggSpec>) {
+        let dim = |a: usize, c: usize| Expr::col(3 * (k - 1 - a) + c);
+        let fact_v = Expr::col(3 * k + 3);
+        // dimension 0 against the last dimension, or the fact when k = 1
+        let other = if k > 1 { dim(k - 1, 1) } else { fact_v.clone() };
+        let spanning = dim(0, 1).sub(other).ge(Expr::lit_i64(t));
+        let constant = Expr::ExtractGroup(Box::new(Expr::Lit(Datum::Utf8("g7".into()))));
+        let every = vec![
+            AggSpec::Count,
+            AggSpec::SumI64(3 * (k - 1) + 1),
+            AggSpec::MinI64(3 * k + 3),
+            AggSpec::MaxI64(1),
+        ];
+        match pick {
+            0 => (
+                Some(spanning),
+                Expr::ExtractGroup(Box::new(dim(k - 1, 2))),
+                every,
+            ),
+            1 => (None, constant, vec![AggSpec::Count]),
+            2 => (Some(spanning), constant, vec![AggSpec::Count]),
+            _ => (None, Expr::ExtractGroup(Box::new(dim(0, 2))), every),
+        }
+    }
+
+    proptest! {
+        /// One k-way probe equals the chain of binary joins it replaces:
+        /// folded into the sink it leaves the same partial aggregate and
+        /// survivor count as `HashJoiner::probe` chained into `consume`,
+        /// and materialised it yields the chain's rows in the chain's
+        /// order.
+        #[test]
+        fn k_way_probe_equals_the_chained_joins(
+            k in 1usize..4,
+            dims in dims(),
+            facts in facts(),
+            pick in 0u8..4,
+            t in -50i64..50,
+        ) {
+            let joiners: Vec<HashJoiner> = (0..k)
+                .map(|axis| {
+                    let mut j = HashJoiner::new(dim_batch(axis, &[]).schema().clone(), 0);
+                    for rows in &dims[axis] {
+                        j.build(dim_batch(axis, rows)).unwrap();
+                    }
+                    j
+                })
+                .collect();
+            let refs: Vec<&HashJoiner> = joiners.iter().collect();
+            let fact_keys: Vec<usize> = (0..k).collect();
+            let probes: Vec<Batch> = facts.iter().map(|rows| fact_batch(rows)).collect();
+            let (pred, group, aggs) = shape(k, pick, t);
+
+            let mut chained = JoinAggregator::new(pred.as_ref(), &group, &aggs);
+            let mut sink = JoinAggregator::new(pred.as_ref(), &group, &aggs);
+            let mut chain_out = Vec::new();
+            for p in &probes {
+                // each binary join prepends its three build columns
+                let mut cur = p.clone();
+                for (axis, j) in joiners.iter().enumerate() {
+                    cur = j.probe(&cur, 3 * axis + axis).unwrap();
+                }
+                chained.consume(&cur).unwrap();
+                chain_out.push(cur);
+                sink.probe_star(&refs, p, &fact_keys).unwrap();
+            }
+            prop_assert_eq!(sink.survivors(), chained.survivors());
+            prop_assert_eq!(sink.finish(), chained.finish());
+
+            let fact_schema = fact_batch(&[]).schema().clone();
+            let joined = HashJoiner::probe_star(&refs, &fact_schema, &probes, &fact_keys).unwrap();
+            let schema = refs.iter().fold(fact_schema, |acc, j| j.build_schema().join(&acc));
+            prop_assert_eq!(joined, Batch::concat(schema, &chain_out).unwrap());
         }
     }
 }

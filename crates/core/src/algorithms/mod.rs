@@ -17,6 +17,7 @@ pub mod zigzag;
 pub use driver::{CancelToken, Driver, TaskSet};
 
 use crate::adapt::PrescanData;
+use crate::multiway::StarRun;
 use crate::query::HybridQuery;
 use crate::skew::{SaltCursors, SaltRouter};
 use crate::stats::{JoinSummary, RunOutput};
@@ -470,6 +471,9 @@ pub(crate) struct JenTask {
     /// [`LSource::blocks`] instead of re-reading `L`; or a star plan's
     /// running intermediate (the fact scan, then each local join's output).
     pub blocks: Option<Vec<Batch>>,
+    /// A star cascade's dimension tables not yet probed with `blocks`
+    /// (consecutive broadcast steps probe once, as one run).
+    pub star_run: StarRun,
 }
 
 /// Per-worker state threaded through a DB [`TaskSet`].
@@ -497,6 +501,7 @@ pub(crate) fn jen_tasks(sys: &HybridSystem, driver: &Driver) -> Result<Vec<JenTa
                 partial: None,
                 local_bf: None,
                 blocks: None,
+                star_run: StarRun::default(),
             })
         })
         .collect()

@@ -16,6 +16,13 @@
 //! cascade the physical layout is `dim_{last}' ++ … ++ dim_{first}' ++
 //! fact'`, undone by `physical_map` at finalize time.
 //!
+//! Only a re-shuffle needs `cur`'s rows. So consecutive in-memory joins
+//! form a *run* (`multiway::StarRun`): each step builds its table, and the
+//! run probes once — k-way, with one foreign key of `cur` per table —
+//! where the next step re-shuffles (materialising the join, every column
+//! gathered once) or, for the last run, into the join-aggregate sink at
+//! finalize. A spilling joiner ends the run before it and joins on its own.
+//!
 //! Salt-role inversion: in a cascade step the *dimension* is the hash-build
 //! side (its keys are near-unique — no build skew), while the skew lives in
 //! `cur`'s foreign-key stream. So the `cur` re-shuffle splits hot-key rows
@@ -43,7 +50,7 @@ use hybrid_common::ops::{partition_sel, JoinAggregator};
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
 use hybrid_jen::pipeline::scan_blocks_batched;
-use hybrid_jen::ScanSpec;
+use hybrid_jen::{LocalJoiner, ScanSpec};
 use hybrid_net::StreamTag;
 
 pub(crate) fn execute(
@@ -154,6 +161,7 @@ pub(crate) fn execute(
             if broadcast {
                 return Ok(());
             }
+            debug_assert!(st.star_run.is_empty(), "the step before probed its run");
             let span = sys
                 .tracer
                 .start(sys.jen_workers[w].span_label(), Stage::ShuffleSend);
@@ -194,7 +202,12 @@ pub(crate) fn execute(
             Ok(())
         });
 
-        // Step 4+3i: receive, build on the dimension, probe with `cur`.
+        // Step 4+3i: receive and build on the dimension. An in-memory
+        // table joins the worker's run; the run probes `cur` once, where
+        // the next step re-shuffles `cur` (or, for the last run, into the
+        // sink at finalize). A spilling table ends the run and probes on
+        // its own.
+        let ends_run = steps.get(i + 1).is_some_and(|next| !next.broadcast);
         jen.step(base + 4, move |w, st| {
             let label = sys.jen_workers[w].span_label();
             let recv_span = sys.tracer.start(label.clone(), Stage::ShuffleRecv);
@@ -219,26 +232,53 @@ pub(crate) fn execute(
                 joiner.build(b)?;
             }
             build_span.done(0, dim_rows);
+            // `probes` is the intermediate that entered the run at step `start`
+            let start = i - st.star_run.len();
+            let joiner = match joiner {
+                LocalJoiner::InMemory(j) => {
+                    st.star_run.push(j, fact_offs[start] + star.fact_keys[d]);
+                    if !ends_run {
+                        st.blocks = Some(probes);
+                        return Ok(());
+                    }
+                    None
+                }
+                spilling => Some(spilling),
+            };
             let probe_rows: u64 = probes.iter().map(|b| b.num_rows() as u64).sum();
             let probe_span = sys.tracer.start(label, Stage::Probe);
-            let joined = joiner.probe_all(&cur_schemas[i], probes, fk_col)?;
+            if !st.star_run.is_empty() {
+                probes = vec![st.star_run.materialise(&cur_schemas[start], &probes)?];
+            }
+            if let Some(joiner) = joiner {
+                probes = vec![joiner.probe_all(&cur_schemas[i], probes, fk_col)?];
+            }
             probe_span.done(0, probe_rows);
-            st.blocks = Some(vec![joined]);
+            st.blocks = Some(probes);
             Ok(())
         });
     }
 
-    // Finalize: residual predicate + per-worker partial aggregate.
+    // Finalize: the last run's probe folds into the sink (a materialised
+    // `cur` runs through it instead), then the per-worker partial
+    // aggregate.
     let fin = 20 + 10 * steps.len() as u32;
     jen.step(fin, move |w, st| {
         let _permit = driver.compute_permit();
-        let sink = JoinAggregator::new(post_predicate.as_ref(), group_expr, aggs);
-        st.partial = Some(partial_aggregate(
-            sys,
-            sys.jen_workers[w].span_label(),
-            sink,
-            &st.blocks.take().unwrap_or_default(),
-        )?);
+        let label = sys.jen_workers[w].span_label();
+        let mut sink = JoinAggregator::new(post_predicate.as_ref(), group_expr, aggs);
+        let blocks = st.blocks.take().unwrap_or_default();
+        let joined = if st.star_run.is_empty() {
+            blocks
+        } else {
+            let probe_rows: u64 = blocks.iter().map(|b| b.num_rows() as u64).sum();
+            let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
+            std::mem::take(&mut st.star_run).fold(&mut sink, &blocks)?;
+            drop(blocks);
+            probe_span.done(0, probe_rows);
+            Vec::new()
+        };
+        st.partial = Some(partial_aggregate(sys, label, sink, &joined)?);
         Ok(())
     });
 

@@ -23,7 +23,8 @@
 //! still meets exactly once, in the unique cell the fact row landed in.
 
 use super::{
-    detect_hot_fact_keys, meter_shuffle, ordered_batches, physical_exprs, StarQuery, AXIS_SEED,
+    detect_hot_fact_keys, meter_shuffle, ordered_batches, physical_exprs, StarQuery, StarRun,
+    AXIS_SEED,
 };
 use crate::algorithms::{
     add_final_aggregation_steps, db_scan, db_schema, db_tasks, jen_tasks, local_joiner,
@@ -37,7 +38,7 @@ use hybrid_common::ops::JoinAggregator;
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
 use hybrid_jen::pipeline::scan_blocks_batched;
-use hybrid_jen::ScanSpec;
+use hybrid_jen::{LocalJoiner, ScanSpec};
 use hybrid_net::StreamTag;
 use std::collections::HashMap;
 
@@ -73,12 +74,15 @@ impl Grid {
         (hash_key_seeded(key, AXIS_SEED ^ axis as u64) % self.shares[axis] as u64) as usize
     }
 
-    /// The workers whose axis-`axis` coordinate is `c` — where a
-    /// dimension-`axis` tuple hashing to `c` must replicate.
-    fn axis_cell_workers(&self, axis: usize, c: usize) -> Vec<usize> {
-        (0..self.cells)
-            .filter(|&w| self.coord(w, axis) == c)
-            .collect()
+    /// Entry `c`: the workers whose axis-`axis` coordinate is `c`, in
+    /// ascending order — where a dimension-`axis` tuple hashing to `c` must
+    /// replicate.
+    fn axis_slices(&self, axis: usize) -> Vec<Vec<usize>> {
+        let mut slices = vec![Vec::new(); self.shares[axis]];
+        for w in 0..self.cells {
+            slices[self.coord(w, axis)].push(w);
+        }
+        slices
     }
 }
 
@@ -196,6 +200,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
     db.step(12, move |w, st| {
         for (axis, dq) in star.dims.iter().enumerate() {
             let part = db_scan(sys, driver, w, &dq.table, &dq.pred, &dq.proj)?;
+            let slices = grid.axis_slices(axis);
             let span = sys.tracer.start(format!("db-{w}"), Stage::ShuffleSend);
             let mut dest_rows: Vec<Vec<u32>> = vec![Vec::new(); num_jen];
             if !part.is_empty() {
@@ -209,8 +214,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
                             cell_rows.push(row as u32);
                         }
                     } else {
-                        let c = grid.axis_coord(key, axis);
-                        for dst in grid.axis_cell_workers(axis, c) {
+                        for &dst in &slices[grid.axis_coord(key, axis)] {
                             dest_rows[dst].push(row as u32);
                         }
                     }
@@ -233,9 +237,12 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
     });
 
     // Step 3: each cell receives its fact slice and its k dimension
-    // slices, builds k hash tables, and probes them in identity order —
-    // the physical layout is dim_{k-1}' ++ … ++ dim_0' ++ fact', the same
-    // prefix stack a cascade in identity order produces.
+    // slices, builds k hash tables, and probes them all at once into the
+    // sink, in identity order — the joined layout is dim_{k-1}' ++ … ++
+    // dim_0' ++ fact', the same prefix stack a cascade in identity order
+    // produces. A spilling table ends the run of in-memory tables before
+    // it: their join is materialised, and the spilling table probes it on
+    // its own.
     jen.step(20, move |w, st| {
         let label = sys.jen_workers[w].span_label();
         let recv_span = sys.tracer.start(label.clone(), Stage::ShuffleRecv);
@@ -257,12 +264,9 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
         sys.metrics
             .add(&format!("net.shuffle.rows.jen-{w}"), dim_rows);
         let _permit = driver.compute_permit();
-        // probe dimension by dimension: after joining axes 0..i the fact
-        // columns sit at offset Σ_{j<=i} width_j from a prefix stack of
-        // builds
-        // inner axes materialise their joins; the last folds its matches
-        // straight into the sink
         let mut sink = JoinAggregator::new(post_predicate.as_ref(), group_expr, aggs);
+        let mut run = StarRun::default();
+        // `probes` has the layout `cur_schema`, fact columns from `fact_off`
         let mut cur_schema = fact_schema.clone();
         let mut fact_off = 0usize;
         for (axis, dim_batches) in dims.into_iter().enumerate() {
@@ -274,8 +278,18 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
                 joiner.build(b)?;
             }
             build_span.done(0, built);
+            if let LocalJoiner::InMemory(j) = joiner {
+                run.push(j, fact_off + star.fact_keys[axis]);
+                continue;
+            }
             let probe_rows: u64 = probes.iter().map(|b| b.num_rows() as u64).sum();
             let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
+            if !run.is_empty() {
+                fact_off += run.width();
+                let joined = run.materialise(&cur_schema, &probes)?;
+                cur_schema = joined.schema().clone();
+                probes = vec![joined];
+            }
             let key = fact_off + star.fact_keys[axis];
             let probes_in = std::mem::take(&mut probes);
             if axis + 1 == k {
@@ -288,7 +302,15 @@ pub(crate) fn execute(sys: &mut HybridSystem, star: &StarQuery, shares: &[usize]
             }
             probe_span.done(0, probe_rows);
         }
-        st.partial = Some(partial_aggregate(sys, label, sink, &probes)?);
+        // the last axis either joined the run or probed into the sink
+        if !run.is_empty() {
+            let probe_rows: u64 = probes.iter().map(|b| b.num_rows() as u64).sum();
+            let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
+            run.fold(&mut sink, &probes)?;
+            drop(probes);
+            probe_span.done(0, probe_rows);
+        }
+        st.partial = Some(partial_aggregate(sys, label, sink, &[])?);
         Ok(())
     });
 
@@ -317,9 +339,17 @@ mod tests {
         let g = Grid::new(&[3, 2]);
         for axis in 0..2 {
             let mut seen = HashSet::new();
-            for c in 0..g.shares[axis] {
-                let ws = g.axis_cell_workers(axis, c);
+            let slices = g.axis_slices(axis);
+            assert_eq!(slices.len(), g.shares[axis]);
+            for (c, ws) in slices.into_iter().enumerate() {
                 assert_eq!(ws.len(), g.cells / g.shares[axis]);
+                assert_eq!(
+                    ws,
+                    (0..g.cells)
+                        .filter(|&w| g.coord(w, axis) == c)
+                        .collect::<Vec<_>>(),
+                    "slice {c} of axis {axis}: every worker on it, ascending"
+                );
                 seen.extend(ws);
             }
             assert_eq!(seen.len(), g.cells, "axis {axis} slices cover the grid");
@@ -335,12 +365,8 @@ mod tests {
             for key1 in 20..40i64 {
                 let cell =
                     g.axis_coord(key0, 0) * g.strides[0] + g.axis_coord(key1, 1) * g.strides[1];
-                assert!(g
-                    .axis_cell_workers(0, g.axis_coord(key0, 0))
-                    .contains(&cell));
-                assert!(g
-                    .axis_cell_workers(1, g.axis_coord(key1, 1))
-                    .contains(&cell));
+                assert!(g.axis_slices(0)[g.axis_coord(key0, 0)].contains(&cell));
+                assert!(g.axis_slices(1)[g.axis_coord(key1, 1)].contains(&cell));
             }
         }
     }

@@ -60,7 +60,8 @@ use crate::system::HybridSystem;
 use hybrid_common::batch::Batch;
 use hybrid_common::error::{HybridError, Result};
 use hybrid_common::expr::Expr;
-use hybrid_common::ops::AggSpec;
+use hybrid_common::ops::{AggSpec, HashJoiner, JoinAggregator};
+use hybrid_common::schema::Schema;
 use hybrid_net::Endpoint;
 use std::collections::HashSet;
 
@@ -337,6 +338,57 @@ pub(crate) fn physical_exprs(
         remap(&star.group_expr),
         remap_agg_columns(&star.aggs, |c| map[c]),
     )
+}
+
+/// In-memory dimension tables waiting for one k-way probe: a run of
+/// consecutive local joins whose intermediates are never materialised.
+/// Each table is probed by a foreign-key column of the batches that entered
+/// the run; the joined layout is the prefix stack `dim_last' ++ … ++
+/// dim_first' ++ probe`, exactly what joining them one at a time builds.
+#[derive(Default)]
+pub(crate) struct StarRun {
+    joiners: Vec<HashJoiner>,
+    keys: Vec<usize>,
+}
+
+impl StarRun {
+    /// Join `joiner` next, looked up by column `key` of the run's probe
+    /// batches.
+    pub(crate) fn push(&mut self, joiner: HashJoiner, key: usize) {
+        self.joiners.push(joiner);
+        self.keys.push(key);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.joiners.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.joiners.is_empty()
+    }
+
+    /// Columns the run prepends to its probe batches.
+    pub(crate) fn width(&self) -> usize {
+        self.joiners.iter().map(|j| j.build_schema().len()).sum()
+    }
+
+    /// End the run where its rows must exist: the join of `probes` (of
+    /// `probe_schema`) through a non-empty run, as one batch with every
+    /// column gathered once.
+    pub(crate) fn materialise(&mut self, probe_schema: &Schema, probes: &[Batch]) -> Result<Batch> {
+        debug_assert!(!self.is_empty(), "an empty run joins nothing");
+        let run = std::mem::take(self);
+        let joiners: Vec<&HashJoiner> = run.joiners.iter().collect();
+        HashJoiner::probe_star(&joiners, probe_schema, probes, &run.keys)
+    }
+
+    /// End the run in the sink: fold the join of every probe batch.
+    pub(crate) fn fold(self, sink: &mut JoinAggregator, probes: &[Batch]) -> Result<()> {
+        let joiners: Vec<&HashJoiner> = self.joiners.iter().collect();
+        probes
+            .iter()
+            .try_for_each(|p| sink.probe_star(&joiners, p, &self.keys))
+    }
 }
 
 /// Uniform data-movement meters every multiway shuffle send reports

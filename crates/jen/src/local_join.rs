@@ -9,7 +9,7 @@
 //! configuration.
 
 use crate::spill::HybridHashJoiner;
-use hybrid_common::batch::Batch;
+use hybrid_common::batch::{Batch, BatchBuilder};
 use hybrid_common::error::Result;
 use hybrid_common::mempool::WorkerBudget;
 use hybrid_common::metrics::Metrics;
@@ -84,8 +84,9 @@ impl LocalJoiner {
         }
     }
 
-    /// Probe with every batch and return the concatenated join output
-    /// (`build_row ++ probe_row`).
+    /// Probe with every batch and return the join output (`build_row ++
+    /// probe_row`) as one batch, each output column gathered once across
+    /// all probe batches.
     pub fn probe_all(
         self,
         probe_schema: &Schema,
@@ -93,16 +94,17 @@ impl LocalJoiner {
         probe_key: usize,
     ) -> Result<Batch> {
         let build_schema = match &self {
-            LocalJoiner::InMemory(j) => j.build_schema(),
+            LocalJoiner::InMemory(j) => {
+                return HashJoiner::probe_star(&[j], probe_schema, &probes, &[probe_key]);
+            }
             LocalJoiner::Hybrid(g) => g.build_schema(),
         };
-        let out_schema = build_schema.join(probe_schema);
-        let mut outs: Vec<Batch> = Vec::new();
+        // a spilled join's partitions come and go: append each one's matches
+        let mut out = BatchBuilder::new(build_schema.join(probe_schema));
         self.probe_into(probes, probe_key, |joiner, probe, key| {
-            outs.push(joiner.probe(probe, key)?);
-            Ok(())
+            joiner.probe_append(probe, key, &mut out)
         })?;
-        Batch::concat(out_schema, &outs)
+        Ok(out.finish())
     }
 }
 

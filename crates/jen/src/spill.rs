@@ -36,7 +36,7 @@
 //! append-then-evict step, and re-reading an evicted partition at join
 //! time, are not ledgered — classic hybrid hash accounting.)
 
-use hybrid_common::batch::Batch;
+use hybrid_common::batch::{Batch, BatchBuilder};
 use hybrid_common::error::{HybridError, Result};
 use hybrid_common::hash::hash_key_seeded;
 use hybrid_common::mempool::WorkerBudget;
@@ -552,19 +552,16 @@ impl HybridHashJoiner {
         Ok(())
     }
 
-    /// Run the join and return the concatenated output
-    /// (`build_row ++ probe_row`, like [`HashJoiner::probe`]): the same
-    /// partition walk as `finish_into`, into a materialising sink.
+    /// Run the join and return its output as one batch (`build_row ++
+    /// probe_row`, like [`HashJoiner::probe`]): the same partition walk as
+    /// `finish_into`, each partition's matches appended onto the output
+    /// columns.
     pub fn finish(self) -> Result<Batch> {
         // with no probe batch seen, the build schema stands in for the probe's
         let probe_schema = self.probe_schema.as_ref().unwrap_or(&self.build_schema);
-        let out_schema = self.build_schema.join(probe_schema);
-        let mut outs: Vec<Batch> = Vec::new();
-        self.finish_into(|joiner, probe, key| {
-            outs.push(joiner.probe(probe, key)?);
-            Ok(())
-        })?;
-        Batch::concat(out_schema, &outs)
+        let mut out = BatchBuilder::new(self.build_schema.join(probe_schema));
+        self.finish_into(|joiner, probe, key| joiner.probe_append(probe, key, &mut out))?;
+        Ok(out.finish())
     }
 
     /// Run the join, handing `sink` each partition's in-memory joiner with

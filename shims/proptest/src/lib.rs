@@ -376,10 +376,20 @@ impl ProptestConfig {
     }
 }
 
+/// `PROPTEST_CASES`, as real proptest reads it, overrides the default of 64
+/// cases; an explicit [`ProptestConfig::with_cases`] stays as written.
 impl Default for ProptestConfig {
     fn default() -> ProptestConfig {
-        ProptestConfig { cases: 64 }
+        ProptestConfig {
+            cases: default_cases(std::env::var("PROPTEST_CASES").ok()),
+        }
     }
+}
+
+/// The default case count given the `PROPTEST_CASES` value, if any; an
+/// unparseable value falls back to 64.
+fn default_cases(env: Option<String>) -> u32 {
+    env.and_then(|v| v.trim().parse().ok()).unwrap_or(64)
 }
 
 /// Shim `prop_assert!`: plain `assert!` (panics carry the failing inputs'
@@ -496,6 +506,15 @@ mod tests {
                 prop_assert!((-100..100).contains(v));
             }
         }
+    }
+
+    #[test]
+    fn proptest_cases_env_sets_the_default_only() {
+        assert_eq!(crate::default_cases(None), 64);
+        assert_eq!(crate::default_cases(Some("2048".into())), 2048);
+        assert_eq!(crate::default_cases(Some(" 7 ".into())), 7);
+        assert_eq!(crate::default_cases(Some("many".into())), 64);
+        assert_eq!(ProptestConfig::with_cases(16).cases, 16);
     }
 
     proptest! {

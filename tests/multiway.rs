@@ -20,6 +20,11 @@
 //! snapshot** — every tuple, byte, and message counter — is
 //! thread-count-invariant for each planner × salt config.
 //!
+//! A third sweep runs the planner × thread grid under a row limit and
+//! under a byte budget. There every local joiner is a spilling hybrid hash
+//! join, which star plans join one dimension at a time instead of in one
+//! k-way probe; that fallback must match the reference too.
+//!
 //! CI shards the grid via `HYBRID_THREADS` / `HYBRID_MULTIWAY_PLANNER`; a
 //! plain `cargo test` runs all cells. Like the chaos soak, a failing cell
 //! does not abort its sweep: the whole grid runs, the complete failing-cell
@@ -104,6 +109,33 @@ fn log_failed_cells(failures: &[(String, String)]) {
     }
 }
 
+/// Run one grid cell; a panic becomes a recorded failure, so one bad cell
+/// does not hide the rest of the grid.
+fn run_cell(ctx: String, failures: &mut Vec<(String, String)>, cell: impl FnOnce()) {
+    if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(cell)) {
+        let msg = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "non-string panic payload".into());
+        eprintln!("cell {ctx} FAILED: {msg}");
+        failures.push((ctx, msg));
+    }
+}
+
+/// Fail with the complete list of failing `grid` cells, after logging them.
+fn report_failures(grid: &str, failures: &[(String, String)]) {
+    if !failures.is_empty() {
+        log_failed_cells(failures);
+        let cells: Vec<&str> = failures.iter().map(|(c, _)| c.as_str()).collect();
+        panic!(
+            "{} {grid} cell(s) failed: {}",
+            failures.len(),
+            cells.join(", ")
+        );
+    }
+}
+
 /// One dimension count's full differential grid against the sequential
 /// n-way reference.
 fn assert_star_grid(dims: usize) {
@@ -122,8 +154,7 @@ fn assert_star_grid(dims: usize) {
                         "dims={dims} planner={planner} threads={threads} format={format:?} \
                          salt={salt_buckets:?}"
                     );
-                    // one bad cell must not hide the rest of the grid
-                    let cell = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_cell(ctx.clone(), &mut failures, || {
                         let mut sys = system(&workload, format, threads, salt_buckets);
                         let out = run_star(&mut sys, &star, planner).unwrap();
                         assert_eq!(
@@ -165,29 +196,12 @@ fn assert_star_grid(dims: usize) {
                                 "{ctx}: auto must run what the advisor chose"
                             ),
                         }
-                    }));
-                    if let Err(panic) = cell {
-                        let msg = panic
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        eprintln!("cell {ctx} FAILED: {msg}");
-                        failures.push((ctx, msg));
-                    }
+                    });
                 }
             }
         }
     }
-    if !failures.is_empty() {
-        log_failed_cells(&failures);
-        let cells: Vec<&str> = failures.iter().map(|(c, _)| c.as_str()).collect();
-        panic!(
-            "{} multiway grid cell(s) failed: {}",
-            failures.len(),
-            cells.join(", ")
-        );
-    }
+    report_failures("multiway grid", &failures);
 }
 
 #[test]
@@ -291,4 +305,48 @@ fn hypercube_reports_shuffle_volume() {
     let out = run_star(&mut sys, &star, MultiwayPlanner::Hypercube).unwrap();
     assert!(counter(&out.snapshot, "multiway.shuffle.tuples") > 0);
     assert!(counter(&out.snapshot, "multiway.shuffle.bytes") > 0);
+}
+
+/// Under a row limit or a byte budget every local joiner is a spilling
+/// hybrid hash join, which ends each k-way run: star plans then join one
+/// dimension at a time through the spill path. That fallback must stay
+/// bit-identical to the reference, really spill, and leave no spill file
+/// behind.
+#[test]
+fn spilling_star_joins_match_the_reference() {
+    let mut failures: Vec<(String, String)> = Vec::new();
+    for dims in [2, 3] {
+        let workload = star_workload(dims);
+        let star = workload.star_query();
+        let expected = run_star_reference(&workload.l, &workload.dims, &star).unwrap();
+        for planner in planner_grid() {
+            for threads in thread_grid() {
+                for (limit, budget) in [(Some(64), None), (None, Some(4 << 10))] {
+                    let ctx = format!(
+                        "dims={dims} planner={planner} threads={threads} \
+                         rows={limit:?} bytes={budget:?}"
+                    );
+                    run_cell(ctx.clone(), &mut failures, || {
+                        let mut cfg = test_config(3, 4);
+                        cfg.threads = threads;
+                        cfg.jen_memory_limit_rows = limit;
+                        cfg.mem_budget_bytes = budget;
+                        let mut sys = loaded_system(cfg, &workload, FileFormat::Columnar);
+                        let out = run_star(&mut sys, &star, planner).unwrap();
+                        assert_eq!(out.result, expected, "{ctx}: diverged from the reference");
+                        assert!(
+                            counter(&out.snapshot, "jen.spill.activations") > 0,
+                            "{ctx}: no joiner spilled"
+                        );
+                        assert_eq!(
+                            counter(&out.snapshot, "jen.spill.files_created"),
+                            counter(&out.snapshot, "jen.spill.files_removed"),
+                            "{ctx}: leaked spill run files"
+                        );
+                    });
+                }
+            }
+        }
+    }
+    report_failures("spilling star", &failures);
 }
