@@ -143,32 +143,6 @@ impl ExpSystem {
             replans,
         })
     }
-
-    /// Run several algorithms on the same loaded data.
-    pub fn run_all(&mut self, algorithms: &[JoinAlgorithm]) -> Result<Vec<Measurement>> {
-        algorithms.iter().map(|&a| self.run(a)).collect()
-    }
-}
-
-/// Build, run, and return measurements for one selectivity configuration.
-pub fn run_config(
-    base: WorkloadSpec,
-    sigma_t: f64,
-    sigma_l: f64,
-    st: f64,
-    sl: f64,
-    format: FileFormat,
-    algorithms: &[JoinAlgorithm],
-) -> Result<Vec<Measurement>> {
-    let spec = WorkloadSpec {
-        sigma_t,
-        sigma_l,
-        st,
-        sl,
-        ..base
-    };
-    let mut exp = ExpSystem::build(spec, format)?;
-    exp.run_all(algorithms)
 }
 
 #[cfg(test)]
@@ -178,13 +152,11 @@ mod tests {
     #[test]
     fn tiny_experiment_runs_and_models() {
         let mut exp = ExpSystem::build(WorkloadSpec::tiny(), FileFormat::Columnar).unwrap();
-        let ms = exp
-            .run_all(&[
-                JoinAlgorithm::Repartition { bloom: true },
-                JoinAlgorithm::Zigzag,
-            ])
-            .unwrap();
-        assert_eq!(ms.len(), 2);
+        let ms = [
+            JoinAlgorithm::Repartition { bloom: true },
+            JoinAlgorithm::Zigzag,
+        ]
+        .map(|a| exp.run(a).unwrap());
         for m in &ms {
             assert!(m.cost.total_s > 0.0);
             assert!(m.result_rows > 0);

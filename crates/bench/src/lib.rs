@@ -1,24 +1,13 @@
 //! Experiment harness reproducing every table and figure of the paper's
 //! evaluation (§5).
 //!
-//! Each binary under `src/bin/` regenerates one artifact:
-//!
-//! | binary | artifact |
+//! | binary | what it does |
 //! |---|---|
-//! | `table1_tuples` | Table 1 — tuples shuffled / sent |
-//! | `fig8_zigzag_vs_repartition` | Fig. 8(a,b) |
-//! | `fig9_joinkey_selectivity` | Fig. 9(a,b) |
-//! | `fig10_broadcast_vs_repartition` | Fig. 10(a,b) |
-//! | `fig11_dbside_bloom` | Fig. 11(a,b) |
-//! | `fig12_db_vs_hdfs_nobf` | Fig. 12(a,b) |
-//! | `fig13_db_vs_hdfs_bf` | Fig. 13(a,b) |
-//! | `fig14_parquet_vs_text` | Fig. 14(a,b) |
-//! | `fig15_bloom_text` | Fig. 15(a,b) |
-//! | `advisor_report` | §5.5 discussion — advisor choices across the grid |
-//!
-//! Beside them sit `hwjoin` (one join, or either end of the framed-TCP
-//! front door), `svc_soak` (the multi-tenant front-door soak and leak
-//! audit), `timeline_report` and the `bench_baseline` volume gate.
+//! | `paper_figures` | Table 1, Figs. 8–15 and the §5.5 advisor grid, with the paper's claims checked; exits nonzero on any divergence |
+//! | `hwjoin` | one join, or either end of the framed-TCP front door |
+//! | `svc_soak` | the multi-tenant front-door soak and leak audit |
+//! | `timeline_report` | renders a run's span timeline |
+//! | `bench_baseline` | the volume-counter gate against `BENCH_baseline.json` |
 //!
 //! Times reported are **cost-model estimates at paper scale** driven by the
 //! *measured* data volumes of real runs on the scaled workload (see

@@ -27,11 +27,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Format tuple counts the way Table 1 does ("5,854 million").
-pub fn millions(tuples: u64) -> String {
-    format!("{:.1}M-equiv", tuples as f64 / 1.0e6)
-}
-
 /// Format a count scaled to paper size in millions of tuples.
 pub fn paper_millions(tuples: u64, factor: f64) -> String {
     format!("{:.0} million", tuples as f64 * factor / 1.0e6)

@@ -181,7 +181,10 @@ pub(crate) fn finish_run(system: &HybridSystem, result: Batch) -> RunOutput {
         .collect();
     RunOutput {
         result,
-        summary: JoinSummary::from_snapshot(&snapshot),
+        summary: JoinSummary {
+            batch_rows: system.config.batch_rows as u64,
+            ..JoinSummary::from_snapshot(&snapshot)
+        },
         snapshot,
         timeline,
     }

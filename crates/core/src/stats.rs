@@ -37,9 +37,13 @@ pub struct JoinSummary {
     /// Fabric messages across all link classes (every `send` is one
     /// message, so a `Data` message carries one batch). Row totals above
     /// are batch-size-invariant; this count shrinks ~1/batch_rows as
-    /// batches grow — it is the volume the cost model's per-message
-    /// overhead term charges.
+    /// batches grow. It does not grow with rows at reduced scale, where
+    /// most per-destination batches are under-full, so the cost model
+    /// prices messages from rows and [`JoinSummary::batch_rows`] instead.
     pub fabric_msgs: u64,
+    /// Rows per `Data` message the run was configured with
+    /// (`SystemConfig::batch_rows`); 0 when unknown.
+    pub batch_rows: u64,
     // --- bytes per link class ---
     pub cross_bytes: u64,
     pub cross_db_to_jen_bytes: u64,
@@ -97,6 +101,8 @@ impl JoinSummary {
             fabric_msgs: get("net.intra_hdfs.msgs")
                 + get("net.cross.msgs")
                 + get("net.intra_db.msgs"),
+            // not a counter: the run fills it from its config
+            batch_rows: 0,
             cross_bytes: get("net.cross.bytes"),
             cross_db_to_jen_bytes: get("net.cross.db_to_jen.bytes"),
             cross_jen_to_db_bytes: get("net.cross.jen_to_db.bytes"),

@@ -115,8 +115,11 @@ impl CostModel {
             db_ingest_s: (hdfs_sent / c.db_ingest_rate).max(hdfs_sent_bytes / c.cross_bw),
             db_shuffle_s: s.intra_db_bytes as f64 * f.l / c.intra_db_bw,
             db_join_s: (t_prime + hdfs_sent) / c.db_join_rate,
-            // message counts scale with the dominant (HDFS-side) row volume
-            msg_overhead_s: s.fabric_msgs as f64 * f.l * c.per_msg_overhead_s,
+            // paper-scale shuffled rows in full batches: the measured message
+            // count does not scale, since most per-destination batches are
+            // under-full at reduced scale; an unknown batch size pays one
+            // message per row
+            msg_overhead_s: shuffled / s.batch_rows.max(1) as f64 * c.per_msg_overhead_s,
             // spill volume tracks the build side, i.e. the HDFS scale factor
             spill_io_s: (s.spill_bytes_written + s.spill_bytes_read) as f64 * f.l / c.spill_bw,
         }
@@ -348,6 +351,7 @@ mod tests {
             perf_bitmap_cross_bytes: 0,
             // default 4096-row batch framing of the shuffle volume
             fabric_msgs: shuffled / 4096,
+            batch_rows: 4096,
             cross_bytes: db_sent * 12,
             cross_db_to_jen_bytes: db_sent * 12,
             cross_jen_to_db_bytes: 0,
@@ -644,6 +648,36 @@ mod tests {
             fast.total_s,
             slow.total_s
         );
+    }
+
+    #[test]
+    fn messages_are_priced_from_paper_scale_rows_per_batch() {
+        let m = CostModel::paper();
+        let f = ScaleFactors::to_paper(160_000, 1_500_000, 1_600);
+        // 1/10 000 of Table 1's repartition shuffle, framed into the few,
+        // mostly under-full messages a reduced-scale run sends
+        let mut s = paper_summary(585_400, 16_500, 1.0);
+        s.fabric_msgs = 2_000;
+        let message_s = |s: &JoinSummary| {
+            let b = m.estimate(JoinAlgorithm::Repartition { bloom: false }, s, &f);
+            let phase = b
+                .phases
+                .iter()
+                .find(|p| p.name == "coordination + message overhead")
+                .expect("every plan pays coordination and messages");
+            phase.seconds - m.cluster.fixed_overhead_s
+        };
+        s.batch_rows = 1;
+        let per_tuple = message_s(&s);
+        s.batch_rows = 4096;
+        let batched = message_s(&s);
+        // one message per paper-scale tuple: 5.854 B × 1 µs
+        let paper_tuples = 585_400.0 * f.l;
+        assert!((per_tuple - paper_tuples * m.cluster.per_msg_overhead_s).abs() < 1e-6);
+        assert!((per_tuple / batched - 4096.0).abs() < 1e-6);
+        // the measured message count does not enter the price
+        s.fabric_msgs *= 1_000;
+        assert_eq!(message_s(&s), batched);
     }
 
     #[test]

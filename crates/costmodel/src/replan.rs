@@ -129,6 +129,7 @@ mod tests {
             bloom_keys_inserted: 16_000_000,
             bloom_cross_bytes: 16 << 20,
             fabric_msgs: 591_000_000 / 4096,
+            batch_rows: 4096,
             ..JoinSummary::default()
         }
     }
