@@ -61,10 +61,9 @@
 //! `l_rows/40 + 100·i` rows at σ = 0.5, FK correlation 0.6 — the shape of
 //! `WorkloadSpec::tiny_star`). `--planner cascade|hypercube|auto` forces
 //! the plan family or lets the advisor price every left-deep cascade
-//! against the best full-grid hypercube (default: `auto`, or the
-//! `HYBRID_MULTIWAY_PLANNER` env). The report prints measured shuffle
-//! volume next to the cost model's analytic prediction so drift between
-//! the two is visible at a glance.
+//! against the best full-grid hypercube (default: `auto`). The report
+//! prints measured shuffle volume next to the cost model's analytic
+//! prediction so drift between the two is visible at a glance.
 //!
 //! `--listen ADDR` starts the framed-TCP front door on `ADDR` instead of
 //! running a join: the workload is generated and loaded, a single `cli`
@@ -145,7 +144,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut skew = KeySkew::Uniform;
     let mut salt_buckets: Option<usize> = None;
     let mut dims: usize = 0;
-    let mut planner = MultiwayPlanner::from_env();
+    let mut planner = MultiwayPlanner::Auto;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();

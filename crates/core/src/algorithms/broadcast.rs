@@ -10,8 +10,8 @@
 //! the Fig. 10 harness reproduces that crossover.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_schema, first_phase, partial_aggregate, run_to_result, Driver,
-    Input,
+    add_final_aggregation_steps, broadcast_route, db_route_to_jen, db_schema, first_phase,
+    partial_aggregate, run_to_result, Driver, Input,
 };
 use crate::query::HybridQuery;
 use crate::system::HybridSystem;
@@ -34,16 +34,8 @@ pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> 
     // JEN worker (the paper's chosen "first transfer pattern", §4.3).
     db.step(20, move |w, st| {
         let part = st.part.take().expect("T' scanned in step 10 or parked");
-        let jen_eps = sys.fabric.jen_endpoints();
-        let span = sys.tracer.start(format!("db-{w}"), Stage::ShuffleSend);
-        for &dst in &jen_eps {
-            st.mailbox.send_data(dst, StreamTag::DbData, &part)?;
-            st.mailbox.send_eos(dst, StreamTag::DbData)?;
-        }
-        span.done(
-            part.serialized_bytes() as u64 * jen_eps.len() as u64,
-            part.num_rows() as u64 * jen_eps.len() as u64,
-        );
+        let route = broadcast_route(sys.config.jen_workers);
+        db_route_to_jen(sys, st, w, &part, StreamTag::DbData, route)?;
         Ok(())
     });
 

@@ -28,9 +28,7 @@ use hybrid_common::error::{HybridError, Result};
 use hybrid_common::expr::Expr;
 use hybrid_common::hash::agreed_shuffle_partition;
 use hybrid_common::ids::{DbWorkerId, JenWorkerId};
-use hybrid_common::ops::{
-    partition_by_key, partition_sel, AggSpec, HashAggregator, JoinAggregator,
-};
+use hybrid_common::ops::{partition_sel, AggSpec, HashAggregator, JoinAggregator};
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
 use hybrid_jen::coordinator::ScanPlan;
@@ -468,14 +466,12 @@ pub(crate) struct JenTask {
     pub partial: Option<Batch>,
     /// A locally built Bloom filter awaiting the global merge (zigzag BF_H).
     pub local_bf: Option<BloomFilter>,
-    /// Row blocks this worker carries from one step to a later one: the
-    /// filtered `L'` parked across an adaptive observation point
+    /// The filtered `L'` parked across an adaptive observation point
     /// ([`crate::adapt`]), which a resumed plan takes through
-    /// [`LSource::blocks`] instead of re-reading `L`; or a star plan's
-    /// running intermediate (the fact scan, then each local join's output).
+    /// [`LSource::blocks`] instead of re-reading `L`.
     pub blocks: Option<Vec<Batch>>,
-    /// A star cascade's dimension tables not yet probed with `blocks`
-    /// (consecutive broadcast steps probe once, as one run).
+    /// A star plan's running intermediate: the fact scan, then each local
+    /// join's output, and the dimension tables not yet probed with it.
     pub star_run: StarRun,
 }
 
@@ -795,35 +791,68 @@ pub(crate) fn first_phase<'env>(
     Ok((l_src, db, TaskSet::new("jen", jen_states)))
 }
 
-/// Route a DB batch to the owning JEN workers by its `key` column with the
-/// agreed hash on `stream` (one EOS per destination), under a ShuffleSend
-/// span; returns the rows and bytes sent. With a [`SaltRouter`],
-/// heavy-hitter rows are replicated to the key's salt workers instead (the
-/// other side was split across them).
+/// The agreed-hash route on column `key`: each row to the owner of its
+/// key's hash partition. With a [`SaltRouter`] this is the split side of a
+/// salted join: heavy-hitter rows cycle round-robin over the key's salt
+/// workers, the cursors threaded across every block of one sender's share,
+/// which makes the split a function of scan order alone — any `batch_rows`
+/// reproduces the whole-share routing bit for bit.
+pub(crate) fn hash_route(
+    num_jen: usize,
+    key: usize,
+    salt: Option<&SaltRouter>,
+) -> impl FnMut(&Batch) -> Result<Vec<SelectionVector>> + '_ {
+    let mut cursors = SaltCursors::new();
+    move |block| match salt {
+        Some(r) => r.partition_build_sel(block, key, &mut cursors),
+        None => partition_sel(block, key, num_jen, agreed_shuffle_partition),
+    }
+}
+
+/// The agreed-hash route on column `key` for the replicating side of a
+/// salted join: heavy-hitter rows go to *every* salt worker of their key,
+/// each of which holds a slice of the split side.
+pub(crate) fn salted_replicate_route(
+    num_jen: usize,
+    key: usize,
+    salt: Option<&SaltRouter>,
+) -> impl FnMut(&Batch) -> Result<Vec<SelectionVector>> + '_ {
+    move |batch| match salt {
+        Some(r) => r.partition_probe_sel(batch, key),
+        None => partition_sel(batch, key, num_jen, agreed_shuffle_partition),
+    }
+}
+
+/// Every row to every JEN worker.
+pub(crate) fn broadcast_route(
+    num_jen: usize,
+) -> impl FnMut(&Batch) -> Result<Vec<SelectionVector>> {
+    move |batch| Ok(vec![SelectionVector::identity(batch.num_rows()); num_jen])
+}
+
+/// Send a DB batch to the JEN workers on `stream`: `route` selects each
+/// worker's rows (a row may go to several — salted, broadcast and per-axis
+/// replication). One EOS per worker; returns the rows and bytes sent, which
+/// the ShuffleSend span counts too.
 pub(crate) fn db_route_to_jen(
     sys: &HybridSystem,
     st: &mut DbTask,
     w: usize,
     batch: &Batch,
-    key: usize,
     stream: StreamTag,
-    salt: Option<&SaltRouter>,
+    route: impl FnOnce(&Batch) -> Result<Vec<SelectionVector>>,
 ) -> Result<(u64, u64)> {
-    let num_jen = sys.config.jen_workers;
     let span = sys.tracer.start(format!("db-{w}"), Stage::ShuffleSend);
-    let routed = match salt {
-        Some(r) => r.partition_probe(batch, key)?,
-        None => partition_by_key(batch, key, num_jen, agreed_shuffle_partition)?,
-    };
     let (mut rows, mut bytes) = (0u64, 0u64);
-    for (jen_idx, piece) in routed.into_iter().enumerate() {
+    for (jen_idx, sel) in route(batch)?.iter().enumerate() {
+        let piece = batch.take_sel(sel);
         rows += piece.num_rows() as u64;
         bytes += piece.serialized_bytes() as u64;
         let dst = Endpoint::Jen(JenWorkerId(jen_idx));
         st.mailbox.send_data(dst, stream, &piece)?;
         st.mailbox.send_eos(dst, stream)?;
     }
-    span.done(batch.serialized_bytes() as u64, batch.num_rows() as u64);
+    span.done(bytes, rows);
     Ok((rows, bytes))
 }
 
@@ -881,48 +910,35 @@ impl ShuffleBuffer {
     }
 }
 
-/// Route this JEN worker's filtered scan output among its peers with the
-/// agreed hash; the piece it owns stays local in `st.local_part`. With a
-/// [`SaltRouter`], heavy-hitter build rows cycle across the key's salt
-/// workers so no single worker absorbs the whole hot partition.
+/// Route this JEN worker's `blocks` (of `schema`) among the JEN workers on
+/// `stream`. `route` maps each block to one selection per worker, block by
+/// block in order — so a stateful route (salted round-robin, hot-key
+/// cursors) sees the share in scan order — and each worker's rows gather
+/// into its own [`ShuffleBuffer`]. Shuffling thus overlaps the scan's
+/// framing instead of waiting for a concatenated share, with one selection
+/// pass per block and no per-row dispatch.
 ///
-/// The scan output arrives as per-block batches: each is routed with one
-/// selection-vector pass (no per-row dispatch) into per-destination
-/// [`ShuffleBuffer`]s, so shuffling overlaps the scan's framing instead of
-/// waiting for a concatenated share. Salt routing threads one
-/// [`SaltCursors`] across all blocks, which makes the hot-key round-robin a
-/// function of scan order alone — any `batch_rows` reproduces the
-/// whole-share routing bit for bit.
+/// Returns this worker's own piece, which never crosses the wire, and the
+/// rows and bytes sent to the others (one EOS each), which the ShuffleSend
+/// span counts too.
 pub(crate) fn jen_shuffle_share(
     sys: &HybridSystem,
-    query: &HybridQuery,
     st: &mut JenTask,
     w: usize,
-    l_blocks: Vec<Batch>,
-    l_schema: &Schema,
-    salt: Option<&SaltRouter>,
-) -> Result<()> {
-    let num_jen = sys.config.jen_workers;
+    stream: StreamTag,
+    schema: &Schema,
+    blocks: &[Batch],
+    mut route: impl FnMut(&Batch) -> Result<Vec<SelectionVector>>,
+) -> Result<(Batch, u64, u64)> {
     let span = sys
         .tracer
         .start(sys.jen_workers[w].span_label(), Stage::ShuffleSend);
-    let mut sent_rows = 0u64;
-    let mut sent_bytes = 0u64;
-    let mut cursors = SaltCursors::new();
-    let mut bufs: Vec<ShuffleBuffer> = (0..num_jen)
-        .map(|_| ShuffleBuffer::new(l_schema.clone(), sys.config.batch_rows))
+    let (mut rows, mut bytes) = (0u64, 0u64);
+    let mut bufs: Vec<ShuffleBuffer> = (0..sys.config.jen_workers)
+        .map(|_| ShuffleBuffer::new(schema.clone(), sys.config.batch_rows))
         .collect();
-    for block in &l_blocks {
-        if block.is_empty() {
-            continue;
-        }
-        sent_rows += block.num_rows() as u64;
-        sent_bytes += block.serialized_bytes() as u64;
-        let sels = match salt {
-            Some(r) => r.partition_build_sel(block, query.hdfs_key, &mut cursors)?,
-            None => partition_sel(block, query.hdfs_key, num_jen, agreed_shuffle_partition)?,
-        };
-        for (dst_idx, sel) in sels.iter().enumerate() {
+    for block in blocks.iter().filter(|b| !b.is_empty()) {
+        for (dst_idx, sel) in route(block)?.iter().enumerate() {
             if sel.is_empty() {
                 continue;
             }
@@ -930,30 +946,46 @@ pub(crate) fn jen_shuffle_share(
             if dst_idx != w {
                 let dst = Endpoint::Jen(JenWorkerId(dst_idx));
                 for batch in bufs[dst_idx].take_full()? {
-                    st.mailbox.send(
-                        dst,
-                        Message::Data {
-                            stream: StreamTag::HdfsShuffle,
-                            batch,
-                        },
-                    )?;
+                    rows += batch.num_rows() as u64;
+                    bytes += batch.serialized_bytes() as u64;
+                    st.mailbox.send(dst, Message::Data { stream, batch })?;
                 }
             }
         }
     }
-    let mut mine = Batch::empty(l_schema.clone());
+    let mut own = Batch::empty(schema.clone());
     for (dst_idx, buf) in bufs.into_iter().enumerate() {
         let tail = buf.finish();
         if dst_idx == w {
-            mine = tail; // local partition: no network traffic
-        } else {
-            let dst = Endpoint::Jen(JenWorkerId(dst_idx));
-            st.mailbox.send_data(dst, StreamTag::HdfsShuffle, &tail)?;
-            st.mailbox.send_eos(dst, StreamTag::HdfsShuffle)?;
+            own = tail;
+            continue;
         }
+        rows += tail.num_rows() as u64;
+        bytes += tail.serialized_bytes() as u64;
+        let dst = Endpoint::Jen(JenWorkerId(dst_idx));
+        st.mailbox.send_data(dst, stream, &tail)?;
+        st.mailbox.send_eos(dst, stream)?;
     }
-    span.done(sent_bytes, sent_rows);
-    st.local_part = Some(mine);
+    span.done(bytes, rows);
+    Ok((own, rows, bytes))
+}
+
+/// The binary plans' `L'` shuffle: hash-route the filtered blocks on the
+/// HDFS join key ([`hash_route`]); the worker's own partition stays in
+/// `st.local_part` for [`jen_recv_build`].
+pub(crate) fn jen_shuffle_l(
+    sys: &HybridSystem,
+    query: &HybridQuery,
+    st: &mut JenTask,
+    w: usize,
+    l_blocks: &[Batch],
+    l_schema: &Schema,
+    salt: Option<&SaltRouter>,
+) -> Result<()> {
+    let route = hash_route(sys.config.jen_workers, query.hdfs_key, salt);
+    let stream = StreamTag::HdfsShuffle;
+    let (own, ..) = jen_shuffle_share(sys, st, w, stream, l_schema, l_blocks, route)?;
+    st.local_part = Some(own);
     Ok(())
 }
 

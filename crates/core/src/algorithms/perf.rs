@@ -31,7 +31,7 @@
 
 use crate::algorithms::{
     add_final_aggregation_steps, db_route_to_jen, db_scan_step, db_tasks, jen_probe_aggregate,
-    jen_shuffle_share, jen_tasks, local_joiner, run_to_result, Driver, TaskSet,
+    jen_shuffle_l, jen_tasks, local_joiner, run_to_result, salted_replicate_route, Driver, TaskSet,
 };
 use crate::query::HybridQuery;
 use crate::system::HybridSystem;
@@ -42,7 +42,7 @@ use hybrid_common::hash::agreed_shuffle_partition;
 use hybrid_common::ids::{DbWorkerId, JenWorkerId};
 use hybrid_common::schema::Schema;
 use hybrid_common::trace::Stage;
-use hybrid_jen::pipeline::scan_blocks_pipelined;
+use hybrid_jen::pipeline::scan_blocks_batched;
 use hybrid_jen::ScanSpec;
 use hybrid_net::{Endpoint, StreamTag};
 use std::collections::HashSet;
@@ -71,31 +71,23 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         Ok(())
     });
 
-    // Step 1: JEN scans and shuffles L' (repartition-style); each worker
-    // then owns the keys of its hash partition.
+    // Step 1: JEN scans and shuffles L' (repartition-style), block by
+    // block; each worker then owns the keys of its hash partition.
     //
-    // PERF deliberately stays on the tuple-at-a-time path: its protocol is
-    // *positional* — steps 2–4 ship key lists and bitmaps whose meaning is
-    // each tuple's ordinal within a worker's concatenated partition — so
-    // the share is materialized as one batch here and the per-row loops
-    // below are kept as the faithful baseline the vectorized algorithms
-    // are measured against.
+    // PERF's protocol is *positional*: steps 2–4 ship key lists and
+    // bitmaps whose meaning is each tuple's ordinal within a worker's
+    // received hash partition. So the per-row loops below are kept as the
+    // faithful baseline the vectorized algorithms are measured against.
     jen.step(20, move |w, st| {
-        let l_share = {
+        let (l_blocks, _) = {
             let _permit = driver.compute_permit();
-            scan_blocks_pipelined(
-                &sys.jen_workers[w],
-                &plan.table,
-                &plan.blocks[w],
-                scan_spec,
-                None,
-            )?
-            .0
+            let worker = &sys.jen_workers[w];
+            scan_blocks_batched(worker, &plan.table, &plan.blocks[w], scan_spec, None)?
         };
         // PERF is never salted: the positional-bitmap protocol requires
         // each JEN worker to own *all* L' keys of its hash partition, which
         // splitting a hot key across salt workers would break.
-        jen_shuffle_share(sys, query, st, w, vec![l_share], l_schema, None)
+        jen_shuffle_l(sys, query, st, w, &l_blocks, l_schema, None)
     });
 
     // Step 2: DB workers ship their T' key columns in tuple order,
@@ -219,7 +211,8 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         let t_second = part.filter(&mask)?;
         sys.metrics
             .add("db.perf.t_rows_after_bitmap", t_second.num_rows() as u64);
-        db_route_to_jen(sys, st, w, &t_second, query.db_key, StreamTag::DbData, None)?;
+        let route = salted_replicate_route(num_jen, query.db_key, None);
+        db_route_to_jen(sys, st, w, &t_second, StreamTag::DbData, route)?;
         Ok(())
     });
 

@@ -9,7 +9,7 @@
 
 use crate::algorithms::{
     add_final_aggregation_steps, db_route_to_jen, first_phase, jen_probe_aggregate, jen_recv_build,
-    jen_shuffle_share, run_to_result, Driver, Input,
+    jen_shuffle_l, run_to_result, salted_replicate_route, Driver, Input,
 };
 use crate::query::HybridQuery;
 use crate::skew::SaltRouter;
@@ -38,7 +38,8 @@ pub(crate) fn execute(
     // JEN worker that will join it, no re-shuffle needed (§3.3).
     db.step(14, move |w, st| {
         let part = st.part.take().expect("T' scanned in step 10 or parked");
-        db_route_to_jen(sys, st, w, &part, query.db_key, StreamTag::DbData, salt)?;
+        let route = salted_replicate_route(sys.config.jen_workers, query.db_key, salt);
+        db_route_to_jen(sys, st, w, &part, StreamTag::DbData, route)?;
         Ok(())
     });
 
@@ -51,7 +52,7 @@ pub(crate) fn execute(
             let _permit = driver.compute_permit();
             l_src.blocks(sys, query, st, w, bloom.as_ref())?
         };
-        jen_shuffle_share(sys, query, st, w, l_blocks, l_schema, salt)
+        jen_shuffle_l(sys, query, st, w, &l_blocks, l_schema, salt)
     });
 
     // Step 4: each JEN worker builds its hash table from the shuffled HDFS

@@ -14,8 +14,9 @@
 //! same global sorted key set the sequential version shipped.
 
 use crate::algorithms::{
-    add_final_aggregation_steps, db_route_to_jen, db_scan_step, db_tasks, jen_probe_aggregate,
-    jen_recv_build, jen_shuffle_share, jen_tasks, run_to_result, Driver, TaskSet,
+    add_final_aggregation_steps, broadcast_route, db_route_to_jen, db_scan_step, db_tasks,
+    jen_probe_aggregate, jen_recv_build, jen_shuffle_l, jen_tasks, run_to_result,
+    salted_replicate_route, Driver, TaskSet,
 };
 use crate::query::HybridQuery;
 use crate::skew::SaltRouter;
@@ -92,18 +93,16 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         let mut all: Vec<&Batch> = vec![&own];
         all.extend(got.batches.iter());
         let key_batch = distinct_key_batch(key_schema, &all, 0)?;
-        for jen_ep in sys.fabric.jen_endpoints() {
-            st.mailbox
-                .send_data(jen_ep, StreamTag::DbKeySet, &key_batch)?;
-            st.mailbox.send_eos(jen_ep, StreamTag::DbKeySet)?;
-        }
+        let route = broadcast_route(sys.config.jen_workers);
+        db_route_to_jen(sys, st, w, &key_batch, StreamTag::DbKeySet, route)?;
         Ok(())
     });
 
     // Step 3: DB workers route T' with the agreed hash (as in repartition).
     db.step(16, move |w, st| {
         let part = st.part.take().expect("T' scanned in step 10");
-        db_route_to_jen(sys, st, w, &part, query.db_key, StreamTag::DbData, salt)?;
+        let route = salted_replicate_route(sys.config.jen_workers, query.db_key, salt);
+        db_route_to_jen(sys, st, w, &part, StreamTag::DbData, route)?;
         Ok(())
     });
 
@@ -130,7 +129,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
         let rows_after: u64 = l_blocks.iter().map(|b| b.num_rows() as u64).sum();
         sys.metrics
             .add("jen.semijoin.rows_after_keyset", rows_after);
-        jen_shuffle_share(sys, query, st, w, l_blocks, l_schema, salt)
+        jen_shuffle_l(sys, query, st, w, &l_blocks, l_schema, salt)
     });
 
     // Step 5: local joins exactly as in the repartition join — build and

@@ -20,7 +20,7 @@
 
 use crate::algorithms::{
     add_final_aggregation_steps, db_route_to_jen, first_phase, jen_probe_aggregate, jen_recv_build,
-    jen_shuffle_share, run_to_result, Driver, Input,
+    jen_shuffle_l, run_to_result, salted_replicate_route, Driver, Input,
 };
 use crate::query::HybridQuery;
 use crate::skew::SaltRouter;
@@ -72,7 +72,7 @@ pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> 
             st.mailbox.send_eos(to, StreamTag::HdfsBloom)?;
         }
         // 3c: shuffle by the agreed hash; local partition stays put
-        jen_shuffle_share(sys, query, st, w, l_blocks, l_schema, salt)
+        jen_shuffle_l(sys, query, st, w, &l_blocks, l_schema, salt)
     });
 
     // Step 4: merge local BF_H's at the designated worker; broadcast the
@@ -133,7 +133,8 @@ pub(crate) fn execute(sys: &HybridSystem, query: &HybridQuery, input: Input) -> 
         };
         sys.metrics
             .add("db.bloom.t_rows_after_bfh", t_second.num_rows() as u64);
-        db_route_to_jen(sys, st, w, &t_second, query.db_key, StreamTag::DbData, salt)?;
+        let route = salted_replicate_route(sys.config.jen_workers, query.db_key, salt);
+        db_route_to_jen(sys, st, w, &t_second, StreamTag::DbData, route)?;
         Ok(())
     });
 

@@ -16,30 +16,31 @@
 //!   then run locally in one pass — the fact moves once, however many
 //!   dimensions there are.
 //!
-//! Only the routing is star-specific: the cascade's re-shuffle of the
-//! intermediate, the hypercube's grid routes, and the broadcast of a
-//! dimension. Everything else is the binary plans' code in
-//! [`crate::algorithms`]: the worker states (`JenTask`/`DbTask`; the
-//! running intermediate lives in `JenTask::blocks`), the prologue and the
-//! aggregation epilogue (`prepare_run`, `add_final_aggregation_steps`,
-//! `run_to_result`), the DB scan and projected schema (`db_scan`,
-//! `db_schema`), the hash-routed DB send (`db_route_to_jen`), the local
-//! joiner (`local_joiner`), the post-join tail (`partial_aggregate` over a
+//! Only the routing is star-specific. Every row a star plan moves goes
+//! through the binary plans' two send helpers, each given a stream tag
+//! and a route (a batch → one selection per JEN worker):
+//! `jen_shuffle_share` for the cascade's re-shuffle and the hypercube's
+//! fact route, `db_route_to_jen` for every dimension send (hash-routed,
+//! broadcast, or replicated along a grid axis). The rest is the binary
+//! plans' code in [`crate::algorithms`] too: the worker states
+//! (`JenTask`/`DbTask`), the prologue and the aggregation epilogue, the DB
+//! scan, the local joiner, the post-join tail (`partial_aggregate` over a
 //! `JoinAggregator` sink), the query bounds check, and the hot-key sampler
 //! (`skew::sample_hot_keys`).
 //!
 //! [`run_star`] samples the tables, lets the advisor price the best
 //! cascade order against the best share vector
 //! ([`crate::advisor::advise_multiway`]), and executes the winner — or a
-//! forced family via [`MultiwayPlanner`] / the `HYBRID_MULTIWAY_PLANNER`
-//! env knob.
+//! forced family via [`MultiwayPlanner`].
 //!
 //! Expressions about joined rows (`post_predicate`, `group_expr`, `aggs`)
 //! are written against the **canonical joined layout** `fact' ++ dim_0' ++
-//! … ++ dim_{k-1}'`. Executors produce a physical layout determined by
-//! their join order (each binary join prepends the build side); they remap
-//! canonical expressions through `physical_map` before evaluating, so
-//! every plan computes the same answer.
+//! … ++ dim_{k-1}'`. An intermediate's columns are described by one
+//! `Layout`, the canonical ids it carries in physical order: each local
+//! join prepends its build side, and each exchange keeps only the live
+//! columns — the foreign keys still to be joined and the columns the
+//! expressions read. Both executors find foreign keys and remap the
+//! expressions through it, so every plan computes the same answer.
 //!
 //! **Determinism.** Each receive step orders incoming batches by sender
 //! endpoint (stable, per-sender FIFO preserved, own piece first) before
@@ -51,18 +52,25 @@ pub mod cascade;
 pub mod hypercube;
 
 use crate::advisor::{advise_multiway, MultiwayPlan};
-use crate::algorithms::{finish_run, prepare_run, StreamData};
+use crate::algorithms::{
+    db_schema, finish_run, jen_shuffle_share, local_joiner, partial_aggregate, prepare_run, Driver,
+    JenTask, StreamData,
+};
 use crate::estimation::sample_star_stats;
 use crate::query::{check_joined_exprs, remap_agg_columns};
 use crate::skew::sample_hot_keys;
 use crate::stats::RunOutput;
 use crate::system::HybridSystem;
-use hybrid_common::batch::Batch;
+use hybrid_common::batch::{Batch, SelectionVector};
 use hybrid_common::error::{HybridError, Result};
 use hybrid_common::expr::Expr;
 use hybrid_common::ops::{AggSpec, HashJoiner, JoinAggregator};
 use hybrid_common::schema::Schema;
-use hybrid_net::Endpoint;
+use hybrid_common::trace::Stage;
+use hybrid_jen::coordinator::ScanPlan;
+use hybrid_jen::pipeline::scan_blocks_batched;
+use hybrid_jen::{LocalJoiner, ScanSpec};
+use hybrid_net::{Endpoint, StreamTag};
 use std::collections::HashSet;
 
 /// Hard cap on star dimensions: stream tags are static (EOS counts
@@ -199,15 +207,6 @@ impl MultiwayPlanner {
             _ => None,
         }
     }
-
-    /// `HYBRID_MULTIWAY_PLANNER` (`cascade` / `hypercube` / `auto`),
-    /// defaulting to `Auto`; unparseable values fall back to `Auto`.
-    pub fn from_env() -> MultiwayPlanner {
-        std::env::var("HYBRID_MULTIWAY_PLANNER")
-            .ok()
-            .and_then(|v| MultiwayPlanner::parse(&v))
-            .unwrap_or(MultiwayPlanner::Auto)
-    }
 }
 
 impl std::fmt::Display for MultiwayPlanner {
@@ -291,103 +290,274 @@ pub(crate) fn ordered_batches(got: StreamData) -> Vec<Batch> {
     tagged.into_iter().map(|(_, b)| b).collect()
 }
 
-/// The canonical→physical column map after joining dimensions in `order`.
-///
-/// Each binary join prepends its build side, so after the cascade the
-/// physical layout is `dim_{order[k-1]}' ++ … ++ dim_{order[0]}' ++ fact'`
-/// (the hypercube probes in identity order and lands on the same shape
-/// with `order = 0..k`). Index the result with a canonical column to get
-/// its physical position.
-pub(crate) fn physical_map(star: &StarQuery, order: &[usize]) -> Vec<usize> {
-    let fact_width = star.fact_proj.len();
-    let widths: Vec<usize> = star.dims.iter().map(|d| d.proj.len()).collect();
-    // physical segment sequence: reversed join order, then the fact
-    let mut offsets = vec![0usize; star.dims.len() + 1]; // [fact, dim 0, dim 1, ..]
-    let mut at = 0usize;
-    for &d in order.iter().rev() {
-        offsets[d + 1] = at;
-        at += widths[d];
+/// What both executors derive from the query before registering a step:
+/// the fact scan, the canonical joined schema `fact' ++ dim_0' ++ …`, every
+/// `dim_i'` schema, and the per-axis heavy-hitter foreign keys (both
+/// clusters must route from the same hot sets, so detection happens once,
+/// up front; empty sets mean "no salting on this axis").
+struct StarInputs<'a> {
+    star: &'a StarQuery,
+    plan: ScanPlan,
+    spec: ScanSpec,
+    canonical: Schema,
+    dim_schemas: Vec<Schema>,
+    hot: Vec<HashSet<i64>>,
+}
+
+impl<'a> StarInputs<'a> {
+    fn new(sys: &HybridSystem, star: &'a StarQuery) -> Result<StarInputs<'a>> {
+        let plan = sys.coordinator.plan_scan(&star.fact_table)?;
+        let dim_schemas: Vec<Schema> = star
+            .dims
+            .iter()
+            .map(|d| db_schema(sys, &d.table, &d.proj))
+            .collect::<Result<_>>()?;
+        let fact_schema = plan.table.schema.project(&star.fact_proj)?;
+        let canonical = dim_schemas.iter().fold(fact_schema, |s, d| s.join(d));
+        let (table, pred, proj) = (&star.fact_table, &star.fact_pred, &star.fact_proj);
+        let hot = sample_hot_keys(sys, "multiway.salt", table, pred, proj, &star.fact_keys)?
+            .unwrap_or_else(|| vec![HashSet::new(); star.dims.len()]);
+        let spec = ScanSpec {
+            pred: star.fact_pred.clone(),
+            proj: star.fact_proj.clone(),
+            bloom_key: None,
+        };
+        Ok(StarInputs {
+            star,
+            plan,
+            spec,
+            canonical,
+            dim_schemas,
+            hot,
+        })
     }
-    offsets[0] = at;
-    let mut map = Vec::with_capacity(star.joined_width());
-    for c in 0..fact_width {
-        map.push(offsets[0] + c);
+
+    /// The physical schema of an intermediate in `layout`.
+    fn schema(&self, layout: &Layout) -> Result<Schema> {
+        self.canonical.project(&layout.0)
     }
-    for (d, &w) in widths.iter().enumerate() {
-        for c in 0..w {
-            map.push(offsets[d + 1] + c);
+
+    /// Worker `w`'s filtered fact share, block-framed, as its first
+    /// intermediate (under a compute permit).
+    fn scan_fact(&self, sys: &HybridSystem, driver: &Driver, w: usize) -> Result<StarRun> {
+        let _permit = driver.compute_permit();
+        let (plan, worker) = (&self.plan, &sys.jen_workers[w]);
+        let (blocks, _) =
+            scan_blocks_batched(worker, &plan.table, &plan.blocks[w], &self.spec, None)?;
+        Ok(StarRun::new(blocks, Layout::fact(self.star)))
+    }
+
+    /// Ship worker `w`'s intermediate among the JEN workers on `stream`:
+    /// its live columns while dimensions `pending` are still to be joined
+    /// ([`Layout::live`]), routed by `route` over their layout. The piece
+    /// the worker routes to itself stays as its intermediate; the rest
+    /// reaches the receivers' next step.
+    fn exchange<R>(
+        &self,
+        sys: &HybridSystem,
+        st: &mut JenTask,
+        w: usize,
+        pending: &[usize],
+        stream: StreamTag,
+        route: impl FnOnce(&Layout) -> R,
+    ) -> Result<()>
+    where
+        R: FnMut(&Batch) -> Result<Vec<SelectionVector>>,
+    {
+        let run = std::mem::take(&mut st.star_run);
+        debug_assert!(run.joiners.is_empty(), "a run ends before an exchange");
+        let (keep, layout) = run.layout.live(self.star, pending);
+        let blocks = if keep.len() == run.layout.0.len() {
+            run.blocks
+        } else {
+            run.blocks
+                .iter()
+                .map(|b| b.project(&keep))
+                .collect::<Result<_>>()?
+        };
+        let schema = self.schema(&layout)?;
+        let (own, rows, bytes) =
+            jen_shuffle_share(sys, st, w, stream, &schema, &blocks, route(&layout))?;
+        meter_shuffle(sys, rows, bytes);
+        st.star_run = StarRun::new(vec![own], layout);
+        Ok(())
+    }
+}
+
+/// The columns an intermediate carries, in physical order: entry `p` is
+/// the canonical joined-layout column at position `p`. A local join
+/// prepends its build side ([`Layout::join`]); an exchange keeps only the
+/// live columns ([`Layout::live`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Layout(Vec<usize>);
+
+impl Layout {
+    /// The fact projection `fact'`: canonical columns `0..fact width`.
+    fn fact(star: &StarQuery) -> Layout {
+        Layout((0..star.fact_proj.len()).collect())
+    }
+
+    /// This layout after a local join building on dimension `d`:
+    /// `dim_d' ++ self`.
+    fn join(&self, star: &StarQuery, d: usize) -> Layout {
+        let widths = star.dims.iter().map(|q| q.proj.len());
+        let start = star.fact_proj.len() + widths.take(d).sum::<usize>();
+        let dim = start..start + star.dims[d].proj.len();
+        Layout(dim.chain(self.0.iter().copied()).collect())
+    }
+
+    /// The physical position of canonical column `c`, if carried.
+    fn position(&self, c: usize) -> Option<usize> {
+        self.0.iter().position(|&x| x == c)
+    }
+
+    /// The position of dimension `d`'s foreign key.
+    fn fk(&self, star: &StarQuery, d: usize) -> usize {
+        self.position(star.fact_keys[d])
+            .expect("a foreign key stays live until its dimension joins")
+    }
+
+    /// The live columns while dimensions `pending` are still to be joined:
+    /// their foreign keys, plus every column the post-predicate, group key
+    /// and aggregates read. Returns their positions here and the layout
+    /// they form.
+    fn live(&self, star: &StarQuery, pending: &[usize]) -> (Vec<usize>, Layout) {
+        let mut live = star.group_expr.referenced_columns();
+        if let Some(p) = &star.post_predicate {
+            live.extend(p.referenced_columns());
         }
+        live.extend(star.aggs.iter().filter_map(|a| a.column()));
+        live.extend(pending.iter().map(|&d| star.fact_keys[d]));
+        let keep: Vec<usize> = (0..self.0.len())
+            .filter(|&p| live.contains(&self.0[p]))
+            .collect();
+        let layout = Layout(keep.iter().map(|&p| self.0[p]).collect());
+        (keep, layout)
     }
-    map
+
+    /// The query's residual predicate, group key and aggregates, rewritten
+    /// from the canonical joined layout to this one.
+    fn exprs(&self, star: &StarQuery) -> (Option<Expr>, Expr, Vec<AggSpec>) {
+        let remap = |e: &Expr| {
+            e.remap_columns(&|c| self.position(c))
+                .expect("expression columns stay live")
+        };
+        (
+            star.post_predicate.as_ref().map(remap),
+            remap(&star.group_expr),
+            remap_agg_columns(&star.aggs, |c| {
+                self.position(c).expect("aggregate columns stay live")
+            }),
+        )
+    }
 }
 
-/// The query's residual predicate, group key and aggregates, rewritten
-/// from the canonical joined layout to the physical layout of a join
-/// `order` (see [`physical_map`]).
-pub(crate) fn physical_exprs(
-    star: &StarQuery,
-    order: &[usize],
-) -> (Option<Expr>, Expr, Vec<AggSpec>) {
-    let map = physical_map(star, order);
-    let remap = |e: &Expr| {
-        e.remap_columns(&|c| map.get(c).copied())
-            .expect("validated expressions stay in bounds")
-    };
-    (
-        star.post_predicate.as_ref().map(remap),
-        remap(&star.group_expr),
-        remap_agg_columns(&star.aggs, |c| map[c]),
-    )
-}
-
-/// In-memory dimension tables waiting for one k-way probe: a run of
-/// consecutive local joins whose intermediates are never materialised.
-/// Each table is probed by a foreign-key column of the batches that entered
-/// the run; the joined layout is the prefix stack `dim_last' ++ … ++
-/// dim_first' ++ probe`, exactly what joining them one at a time builds.
+/// A star plan's running intermediate on one worker: `blocks` in
+/// `layout`, plus the in-memory dimension tables waiting to probe them in
+/// one k-way pass — a run of consecutive local joins whose intermediates
+/// are never materialised. Table `i` (dimension `dims[i]`) is probed by
+/// foreign key `keys[i]` of the blocks; the joined layout is the prefix
+/// stack `dim_last' ++ … ++ dim_first' ++ layout`, exactly what joining
+/// them one at a time builds.
 #[derive(Default)]
 pub(crate) struct StarRun {
+    blocks: Vec<Batch>,
+    layout: Layout,
     joiners: Vec<HashJoiner>,
     keys: Vec<usize>,
+    dims: Vec<usize>,
 }
 
 impl StarRun {
-    /// Join `joiner` next, looked up by column `key` of the run's probe
-    /// batches.
-    pub(crate) fn push(&mut self, joiner: HashJoiner, key: usize) {
-        self.joiners.push(joiner);
-        self.keys.push(key);
+    fn new(blocks: Vec<Batch>, layout: Layout) -> StarRun {
+        StarRun {
+            blocks,
+            layout,
+            ..StarRun::default()
+        }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.joiners.len()
+    fn rows(&self) -> u64 {
+        self.blocks.iter().map(|b| b.num_rows() as u64).sum()
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.joiners.is_empty()
+    /// Build dimension `d` from `batches` and join it next: an in-memory
+    /// table joins the run; a spilling one ends it — the run is
+    /// materialised, and the spilling table probes that on its own.
+    fn build_next(
+        &mut self,
+        sys: &HybridSystem,
+        label: &str,
+        inputs: &StarInputs,
+        d: usize,
+        batches: Vec<Batch>,
+    ) -> Result<()> {
+        let star = inputs.star;
+        let built: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
+        let build_span = sys.tracer.start(label.to_string(), Stage::HashBuild);
+        let mut joiner = local_joiner(sys, inputs.dim_schemas[d].clone(), star.dims[d].key)?;
+        for b in batches {
+            joiner.build(b)?;
+        }
+        build_span.done(0, built);
+        let spilling = match joiner {
+            LocalJoiner::InMemory(j) => {
+                self.joiners.push(j);
+                self.keys.push(self.layout.fk(star, d));
+                self.dims.push(d);
+                return Ok(());
+            }
+            spilling => spilling,
+        };
+        self.materialise(sys, label, inputs)?;
+        let probe_span = sys.tracer.start(label.to_string(), Stage::Probe);
+        let rows = self.rows();
+        let (schema, key) = (inputs.schema(&self.layout)?, self.layout.fk(star, d));
+        let joined = spilling.probe_all(&schema, std::mem::take(&mut self.blocks), key)?;
+        probe_span.done(0, rows);
+        *self = StarRun::new(vec![joined], self.layout.join(star, d));
+        Ok(())
     }
 
-    /// Columns the run prepends to its probe batches.
-    pub(crate) fn width(&self) -> usize {
-        self.joiners.iter().map(|j| j.build_schema().len()).sum()
-    }
-
-    /// End the run where its rows must exist: the join of `probes` (of
-    /// `probe_schema`) through a non-empty run, as one batch with every
-    /// column gathered once.
-    pub(crate) fn materialise(&mut self, probe_schema: &Schema, probes: &[Batch]) -> Result<Batch> {
-        debug_assert!(!self.is_empty(), "an empty run joins nothing");
-        let run = std::mem::take(self);
-        let joiners: Vec<&HashJoiner> = run.joiners.iter().collect();
-        HashJoiner::probe_star(&joiners, probe_schema, probes, &run.keys)
-    }
-
-    /// End the run in the sink: fold the join of every probe batch.
-    pub(crate) fn fold(self, sink: &mut JoinAggregator, probes: &[Batch]) -> Result<()> {
+    /// End the run where its rows must exist: the blocks become their join
+    /// through every table, one batch with every column gathered once.
+    fn materialise(&mut self, sys: &HybridSystem, label: &str, inputs: &StarInputs) -> Result<()> {
+        if self.joiners.is_empty() {
+            return Ok(());
+        }
+        let probe_span = sys.tracer.start(label.to_string(), Stage::Probe);
+        let schema = inputs.schema(&self.layout)?;
         let joiners: Vec<&HashJoiner> = self.joiners.iter().collect();
-        probes
+        let joined = HashJoiner::probe_star(&joiners, &schema, &self.blocks, &self.keys)?;
+        probe_span.done(0, self.rows());
+        *self = StarRun::new(vec![joined], self.joined_layout(inputs.star));
+        Ok(())
+    }
+
+    fn joined_layout(&self, star: &StarQuery) -> Layout {
+        self.dims
             .iter()
-            .try_for_each(|p| sink.probe_star(&joiners, p, &self.keys))
+            .fold(self.layout.clone(), |l, &d| l.join(star, d))
+    }
+
+    /// End the star on this worker: the join folds into the query's
+    /// join-aggregate sink — the run's tables probe there, or materialised
+    /// blocks pass through it — and becomes the worker's partial aggregate.
+    fn finish(self, sys: &HybridSystem, label: String, star: &StarQuery) -> Result<Batch> {
+        let (post_predicate, group_expr, aggs) = self.joined_layout(star).exprs(star);
+        let mut sink = JoinAggregator::new(post_predicate.as_ref(), &group_expr, &aggs);
+        if self.joiners.is_empty() {
+            return partial_aggregate(sys, label, sink, &self.blocks);
+        }
+        let probe_span = sys.tracer.start(label.clone(), Stage::Probe);
+        let joiners: Vec<&HashJoiner> = self.joiners.iter().collect();
+        for p in &self.blocks {
+            sink.probe_star(&joiners, p, &self.keys)?;
+        }
+        probe_span.done(0, self.rows());
+        drop(joiners);
+        drop(self);
+        partial_aggregate(sys, label, sink, &[])
     }
 }
 
@@ -397,20 +567,6 @@ impl StarRun {
 pub(crate) fn meter_shuffle(sys: &HybridSystem, rows: u64, bytes: u64) {
     sys.metrics.add("multiway.shuffle.tuples", rows);
     sys.metrics.add("multiway.shuffle.bytes", bytes);
-}
-
-/// Per-axis heavy-hitter foreign keys of the filtered fact table, from the
-/// same sampler as the two-table [`crate::skew::SaltRouter::detect`].
-/// Empty sets mean "no salting on this axis".
-pub(crate) fn detect_hot_fact_keys(
-    sys: &HybridSystem,
-    star: &StarQuery,
-) -> Result<Vec<HashSet<i64>>> {
-    let (table, pred, proj) = (&star.fact_table, &star.fact_pred, &star.fact_proj);
-    Ok(
-        sample_hot_keys(sys, "multiway.salt", table, pred, proj, &star.fact_keys)?
-            .unwrap_or_else(|| vec![HashSet::new(); star.dims.len()]),
-    )
 }
 
 #[cfg(test)]
@@ -478,11 +634,16 @@ mod tests {
     }
 
     #[test]
-    fn physical_map_inverts_the_prefix_stack() {
+    fn layout_inverts_the_prefix_stack() {
         // k = 2, fact width 3 (2 FKs + group), dim width 2. Join order
         // [1, 0] → physical layout dim0' ++ dim1' ++ fact'.
         let q = star(2);
-        let map = physical_map(&q, &[1, 0]);
+        let positions = |l: &Layout| -> Vec<usize> {
+            (0..q.joined_width())
+                .map(|c| l.position(c).unwrap())
+                .collect()
+        };
+        let map = positions(&Layout::fact(&q).join(&q, 1).join(&q, 0));
         // canonical fact cols 0..3 → physical 4..7
         assert_eq!(&map[0..3], &[4, 5, 6]);
         // canonical dim0 cols → physical 0..2 (joined last, so outermost)
@@ -490,11 +651,11 @@ mod tests {
         // canonical dim1 cols → physical 2..4
         assert_eq!(&map[5..7], &[2, 3]);
         // identity order stacks the other way round
-        let map = physical_map(&q, &[0, 1]);
+        let map = positions(&Layout::fact(&q).join(&q, 0).join(&q, 1));
         assert_eq!(&map[0..3], &[4, 5, 6]);
         assert_eq!(&map[3..5], &[2, 3]);
         assert_eq!(&map[5..7], &[0, 1]);
-        // a map is a permutation of the joined width
+        // a full layout is a permutation of the joined width
         let mut sorted = map.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..q.joined_width()).collect::<Vec<_>>());
@@ -506,10 +667,36 @@ mod tests {
             aggs: vec![AggSpec::Count, AggSpec::SumI64(4)],
             ..star(2)
         };
-        let map = physical_map(&q, &[1, 0]);
+        let layout = Layout::fact(&q).join(&q, 1).join(&q, 0);
         assert_eq!(
-            physical_exprs(&q, &[1, 0]).2,
-            vec![AggSpec::Count, AggSpec::SumI64(map[4])]
+            layout.exprs(&q).2,
+            vec![AggSpec::Count, AggSpec::SumI64(layout.position(4).unwrap())]
         );
+    }
+
+    #[test]
+    fn live_columns_drop_consumed_keys_and_unread_dimension_columns() {
+        // canonical: fact fk0 0, fk1 1, group 2 | dim0 key 3, col 4 | dim1
+        // key 5, col 6. The group key reads 2, a sum reads dim1's key 5.
+        let q = StarQuery {
+            aggs: vec![AggSpec::SumI64(5)],
+            ..star(2)
+        };
+        let fact = Layout::fact(&q);
+        // nothing joined yet: both foreign keys and the group are live
+        assert_eq!(fact.live(&q, &[1, 0]).1, fact);
+        // after dim 1: fk1 is consumed, dim1's unread column 6 goes, its
+        // read key 5 stays; fk0 is still to be joined
+        let after = fact.join(&q, 1);
+        let (keep, live) = after.live(&q, &[0]);
+        assert_eq!(live, Layout(vec![5, 0, 2]));
+        assert_eq!(keep, vec![0, 2, 4]);
+        assert_eq!(live.fk(&q, 0), 1);
+        // a column an expression reads outlives its foreign key
+        let q = StarQuery {
+            aggs: vec![AggSpec::SumI64(1)],
+            ..q
+        };
+        assert_eq!(after.live(&q, &[0]).1, Layout(vec![0, 1, 2]));
     }
 }

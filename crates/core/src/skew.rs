@@ -189,14 +189,6 @@ impl SaltRouter {
         Ok(sel.into_iter().map(SelectionVector::from_indexes).collect())
     }
 
-    /// Split a build-side batch into one piece per JEN worker (one-shot
-    /// form of [`SaltRouter::partition_build_sel`] with fresh cursors).
-    pub fn partition_build(&self, batch: &Batch, key_col: usize) -> Result<Vec<Batch>> {
-        let mut cursors = SaltCursors::new();
-        let sel = self.partition_build_sel(batch, key_col, &mut cursors)?;
-        Ok(sel.iter().map(|s| batch.take_sel(s)).collect())
-    }
-
     /// Per-destination selection vectors for a probe-side batch. Hot-key
     /// rows appear in *every* salt worker's selection (each meets a
     /// disjoint slice of the split build side); cold rows take the agreed
@@ -219,12 +211,6 @@ impl SaltRouter {
             }
         }
         Ok(sel.into_iter().map(SelectionVector::from_indexes).collect())
-    }
-
-    /// Split a probe-side batch into one piece per JEN worker.
-    pub fn partition_probe(&self, batch: &Batch, key_col: usize) -> Result<Vec<Batch>> {
-        let sel = self.partition_probe_sel(batch, key_col)?;
-        Ok(sel.iter().map(|s| batch.take_sel(s)).collect())
     }
 }
 
@@ -263,18 +249,32 @@ mod tests {
         .unwrap()
     }
 
+    /// One piece per worker: a build-side batch split with fresh cursors.
+    fn build_pieces(r: &SaltRouter, b: &Batch) -> Vec<Batch> {
+        let sel = r
+            .partition_build_sel(b, 0, &mut SaltCursors::new())
+            .unwrap();
+        sel.iter().map(|s| b.take_sel(s)).collect()
+    }
+
+    /// One piece per worker: a probe-side batch, hot rows replicated.
+    fn probe_pieces(r: &SaltRouter, b: &Batch) -> Vec<Batch> {
+        let sel = r.partition_probe_sel(b, 0).unwrap();
+        sel.iter().map(|s| b.take_sel(s)).collect()
+    }
+
     #[test]
     fn build_splits_hot_probe_replicates_hot() {
         let n = 4;
         let r = SaltRouter::with_hot_keys([7], n, 4);
         let hot_rows = 40;
         let b = batch(&vec![7i32; hot_rows]);
-        let built = r.partition_build(&b, 0).unwrap();
+        let built = build_pieces(&r, &b);
         // round-robin: every worker gets exactly hot_rows / n rows
         for piece in &built {
             assert_eq!(piece.num_rows(), hot_rows / n);
         }
-        let probed = r.partition_probe(&b, 0).unwrap();
+        let probed = probe_pieces(&r, &b);
         for piece in &probed {
             assert_eq!(piece.num_rows(), hot_rows, "probe replicates to all");
         }
@@ -286,8 +286,8 @@ mod tests {
         let r = SaltRouter::with_hot_keys([999], n, 4);
         let keys: Vec<i32> = (0..100).collect();
         let b = batch(&keys);
-        let built = r.partition_build(&b, 0).unwrap();
-        let probed = r.partition_probe(&b, 0).unwrap();
+        let built = build_pieces(&r, &b);
+        let probed = probe_pieces(&r, &b);
         let agreed =
             hybrid_common::ops::partition_by_key(&b, 0, n, agreed_shuffle_partition).unwrap();
         assert_eq!(built, agreed);
@@ -302,8 +302,8 @@ mod tests {
         let r = SaltRouter::with_hot_keys([3, 11], n, 3);
         let build = batch(&[3, 3, 3, 3, 3, 11, 11, 11, 2, 2, 9]);
         let probe = batch(&[3, 3, 11, 2, 9, 9]);
-        let built = r.partition_build(&build, 0).unwrap();
-        let probed = r.partition_probe(&probe, 0).unwrap();
+        let built = build_pieces(&r, &build);
+        let probed = probe_pieces(&r, &probe);
         for key in [3i32, 11, 2, 9] {
             let build_count: usize = built.iter().map(|p| count_key(p, key)).sum();
             assert_eq!(build_count, count_key(&build, key), "build rows conserved");
@@ -341,7 +341,7 @@ mod tests {
     fn fanout_clamps_to_worker_count() {
         let r = SaltRouter::with_hot_keys([1], 2, 64);
         let b = batch(&[1, 1, 1, 1]);
-        let built = r.partition_build(&b, 0).unwrap();
+        let built = build_pieces(&r, &b);
         assert_eq!(built.len(), 2);
         assert_eq!(built[0].num_rows() + built[1].num_rows(), 4);
         assert_eq!(built[0].num_rows(), 2);
@@ -355,7 +355,7 @@ mod tests {
         let n = 4;
         let r = SaltRouter::with_hot_keys([5, 2], n, 3);
         let b = batch(&[5, 1, 5, 2, 5, 5, 2, 3, 5, 2, 2, 5, 7, 5]);
-        let whole = r.partition_build(&b, 0).unwrap();
+        let whole = build_pieces(&r, &b);
         for chunk_rows in [1usize, 3, 5, 100] {
             let mut cursors = SaltCursors::new();
             let mut pieces: Vec<Vec<Batch>> = (0..n).map(|_| Vec::new()).collect();
@@ -376,9 +376,6 @@ mod tests {
     fn routing_is_deterministic() {
         let r = SaltRouter::with_hot_keys([5], 4, 3);
         let b = batch(&[5, 1, 5, 2, 5, 5, 3]);
-        assert_eq!(
-            r.partition_build(&b, 0).unwrap(),
-            r.partition_build(&b, 0).unwrap()
-        );
+        assert_eq!(build_pieces(&r, &b), build_pieces(&r, &b));
     }
 }

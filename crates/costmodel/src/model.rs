@@ -115,11 +115,14 @@ impl CostModel {
             db_ingest_s: (hdfs_sent / c.db_ingest_rate).max(hdfs_sent_bytes / c.cross_bw),
             db_shuffle_s: s.intra_db_bytes as f64 * f.l / c.intra_db_bw,
             db_join_s: (t_prime + hdfs_sent) / c.db_join_rate,
-            // paper-scale shuffled rows in full batches: the measured message
-            // count does not scale, since most per-destination batches are
-            // under-full at reduced scale; an unknown batch size pays one
-            // message per row
-            msg_overhead_s: shuffled / s.batch_rows.max(1) as f64 * c.per_msg_overhead_s,
+            // paper-scale rows in full batches on every row-carrying link:
+            // the HDFS shuffle, the db_data export (broadcast copies
+            // included) and the ingestion into the database. The measured
+            // message count does not scale, since most per-destination
+            // batches are under-full at reduced scale; an unknown batch size
+            // pays one message per row
+            msg_overhead_s: (shuffled + db_sent + hdfs_sent) / s.batch_rows.max(1) as f64
+                * c.per_msg_overhead_s,
             // spill volume tracks the build side, i.e. the HDFS scale factor
             spill_io_s: (s.spill_bytes_written + s.spill_bytes_read) as f64 * f.l / c.spill_bw,
         }
@@ -671,13 +674,39 @@ mod tests {
         let per_tuple = message_s(&s);
         s.batch_rows = 4096;
         let batched = message_s(&s);
-        // one message per paper-scale tuple: 5.854 B × 1 µs
-        let paper_tuples = 585_400.0 * f.l;
+        // one message per paper-scale tuple on each link: 5.854 B shuffled
+        // plus 165 M exported, × 1 µs
+        let paper_tuples = 585_400.0 * f.l + 16_500.0 * f.t;
         assert!((per_tuple - paper_tuples * m.cluster.per_msg_overhead_s).abs() < 1e-6);
         assert!((per_tuple / batched - 4096.0).abs() < 1e-6);
         // the measured message count does not enter the price
         s.fabric_msgs *= 1_000;
         assert_eq!(message_s(&s), batched);
+    }
+
+    #[test]
+    fn cross_cluster_rows_pay_messages_too() {
+        let m = CostModel::paper();
+        let f = ScaleFactors::to_paper(160_000, 1_500_000, 1_600);
+        // no HDFS shuffle at all: T' exported (as broadcast copies) and L'
+        // ingested into the database
+        let mut s = paper_summary(0, 16_500 * 30, 1.0);
+        s.hdfs_tuples_sent = 585_400;
+        s.cross_hdfs_data_bytes = 585_400 * 40;
+        for alg in [
+            JoinAlgorithm::DbSide { bloom: false },
+            JoinAlgorithm::DbSide { bloom: true },
+            JoinAlgorithm::Broadcast,
+        ] {
+            s.batch_rows = 4096;
+            let batched = m.estimate(alg, &s, &f).total_s;
+            s.batch_rows = 1;
+            let per_tuple = m.estimate(alg, &s, &f).total_s;
+            assert!(
+                per_tuple > batched + 1.0,
+                "{alg}: one row per message must cost more ({per_tuple:.1}s vs {batched:.1}s)"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::worker::{JenWorker, ScanSpec, ScanStats};
 use crossbeam::channel::bounded;
 use hybrid_bloom::BloomFilter;
 use hybrid_common::batch::Batch;
-use hybrid_common::error::{HybridError, Result};
+use hybrid_common::error::Result;
 use hybrid_common::ids::BlockId;
 use hybrid_hdfs::TableMeta;
 use std::sync::Arc;
@@ -26,30 +26,11 @@ use std::sync::Arc;
 const READ_QUEUE_DEPTH: usize = 4;
 
 /// Pipelined variant of [`JenWorker::scan_blocks`]: a read thread streams
-/// raw blocks to the calling thread, which decodes/filters/projects.
-/// Returns the whole share as one concatenated batch; vectorized consumers
-/// that route per block should call [`scan_blocks_batched`] instead and
-/// skip the concat.
-pub fn scan_blocks_pipelined(
-    worker: &JenWorker,
-    table: &TableMeta,
-    blocks: &[BlockId],
-    spec: &ScanSpec,
-    bloom: Option<&BloomFilter>,
-) -> Result<(Batch, ScanStats)> {
-    let out_schema = table.schema.project(&spec.proj)?;
-    let (parts, stats) = scan_blocks_batched(worker, table, blocks, spec, bloom)?;
-    let out = Batch::concat(out_schema, &parts)
-        .map_err(|e| HybridError::exec(format!("pipelined scan concat failed: {e}")))?;
-    Ok((out, stats))
-}
-
-/// [`scan_blocks_pipelined`] without the final concatenation: the filtered,
-/// projected output of each surviving block as its own columnar batch, in
-/// block order. This is the shape the batched shuffle consumes — routing
-/// starts on block `k` while block `k+1` is still being fetched, and no
-/// whole-share copy is ever materialized. Scan metering is identical to the
-/// concatenated variant.
+/// raw blocks to the calling thread, which decodes/filters/projects. The
+/// filtered, projected output of each surviving block comes back as its
+/// own columnar batch, in block order — the shape the batched shuffle
+/// consumes: routing starts on block `k` while block `k+1` is still being
+/// fetched, and no whole-share copy is ever materialized.
 pub fn scan_blocks_batched(
     worker: &JenWorker,
     table: &TableMeta,
@@ -104,6 +85,7 @@ mod tests {
     use super::*;
     use hybrid_common::batch::Column;
     use hybrid_common::datum::DataType;
+    use hybrid_common::error::HybridError;
     use hybrid_common::expr::Expr;
     use hybrid_common::ids::JenWorkerId;
     use hybrid_common::metrics::Metrics;
@@ -161,12 +143,19 @@ mod tests {
         }
     }
 
+    /// The batched scan's blocks, concatenated into one share.
+    fn scan_concat(w: &JenWorker, meta: &TableMeta, ids: &[BlockId]) -> Result<(Batch, ScanStats)> {
+        let (parts, stats) = scan_blocks_batched(w, meta, ids, &spec(), None)?;
+        let schema = meta.schema.project(&spec().proj)?;
+        Ok((Batch::concat(schema, &parts)?, stats))
+    }
+
     #[test]
     fn pipelined_equals_sequential() {
         for format in [FileFormat::Text, FileFormat::Columnar] {
             let (w, meta, ids) = setup(format, 8);
             let (seq, seq_stats) = w.scan_blocks(&meta, &ids, &spec(), None).unwrap();
-            let (pip, pip_stats) = scan_blocks_pipelined(&w, &meta, &ids, &spec(), None).unwrap();
+            let (pip, pip_stats) = scan_concat(&w, &meta, &ids).unwrap();
             assert_eq!(seq, pip, "format {format}");
             assert_eq!(seq_stats, pip_stats);
         }
@@ -176,7 +165,7 @@ mod tests {
     fn many_blocks_deeper_than_queue() {
         // more blocks than READ_QUEUE_DEPTH exercises back-pressure
         let (w, meta, ids) = setup(FileFormat::Columnar, 32);
-        let (out, stats) = scan_blocks_pipelined(&w, &meta, &ids, &spec(), None).unwrap();
+        let (out, stats) = scan_concat(&w, &meta, &ids).unwrap();
         assert_eq!(out.num_rows(), 121);
         assert!(stats.blocks_skipped > 0);
     }
@@ -191,14 +180,14 @@ mod tests {
             guard.kill_datanode(hybrid_common::ids::DataNodeId(0));
             guard.kill_datanode(hybrid_common::ids::DataNodeId(1));
         }
-        let err = scan_blocks_pipelined(&w, &meta, &ids, &spec(), None).unwrap_err();
+        let err = scan_concat(&w, &meta, &ids).unwrap_err();
         assert!(matches!(err, HybridError::Storage(_)));
     }
 
     #[test]
     fn empty_block_list() {
         let (w, meta, _) = setup(FileFormat::Text, 2);
-        let (out, stats) = scan_blocks_pipelined(&w, &meta, &[], &spec(), None).unwrap();
+        let (out, stats) = scan_concat(&w, &meta, &[]).unwrap();
         assert_eq!(out.num_rows(), 0);
         assert_eq!(stats, ScanStats::default());
     }

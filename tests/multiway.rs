@@ -16,6 +16,12 @@
 //! salting therefore really re-routes rows — which the bit-identical
 //! result then proves harmless.
 //!
+//! The workload's tiny star is small enough that every cascade step
+//! broadcasts, so the grid runs a second shape too: dimensions large
+//! enough that every cascade step re-shuffles the intermediate, and
+//! aggregates over every foreign key and dimension key — columns each
+//! re-shuffle must keep alive after the step that consumed them.
+//!
 //! A separate sweep pins the determinism contract: the **full metrics
 //! snapshot** — every tuple, byte, and message counter — is
 //! thread-count-invariant for each planner × salt config.
@@ -38,7 +44,7 @@ use hybrid_common::expr::Expr;
 use hybrid_common::ops::AggSpec;
 use hybrid_core::{
     batch_checksum, run, run_star, run_star_reference, HybridQuery, HybridSystem, JoinAlgorithm,
-    MultiwayPlanner,
+    MultiwayPlanner, RunOutput, StarQuery,
 };
 use hybrid_datagen::{KeySkew, Workload, WorkloadSpec};
 use hybrid_storage::FileFormat;
@@ -48,9 +54,8 @@ fn thread_grid() -> Vec<usize> {
     grid_from_env("HYBRID_THREADS", &[1, 8])
 }
 
-/// Planner axis, CI-shardable via `HYBRID_MULTIWAY_PLANNER`. Unlike the
-/// engine's [`MultiwayPlanner::from_env`] (unparseable → auto), a value
-/// that parses to nothing here is a CI wiring bug and must fail loudly.
+/// Planner axis, CI-shardable via `HYBRID_MULTIWAY_PLANNER`. A value that
+/// parses to nothing is a CI wiring bug and must fail loudly.
 fn planner_grid() -> Vec<MultiwayPlanner> {
     match std::env::var("HYBRID_MULTIWAY_PLANNER").ok().as_deref() {
         None | Some("") => vec![
@@ -140,8 +145,23 @@ fn report_failures(grid: &str, failures: &[(String, String)]) {
 /// n-way reference.
 fn assert_star_grid(dims: usize) {
     let workload = star_workload(dims);
-    let star = workload.star_query();
-    let expected = run_star_reference(&workload.l, &workload.dims, &star).unwrap();
+    assert_grid(
+        &format!("dims={dims}"),
+        &workload,
+        &workload.star_query(),
+        |_, _| {},
+    );
+}
+
+/// The full differential grid of `star` on `workload` against the
+/// sequential n-way reference; `check` adds per-cell assertions.
+fn assert_grid(
+    shape: &str,
+    workload: &Workload,
+    star: &StarQuery,
+    check: impl Fn(MultiwayPlanner, &RunOutput),
+) {
+    let expected = run_star_reference(&workload.l, &workload.dims, star).unwrap();
     assert!(expected.num_rows() > 0, "star query must be non-trivial");
     let expected_checksum = batch_checksum(&expected);
 
@@ -151,12 +171,12 @@ fn assert_star_grid(dims: usize) {
             for format in [FileFormat::Columnar, FileFormat::Text] {
                 for salt_buckets in [None, Some(4)] {
                     let ctx = format!(
-                        "dims={dims} planner={planner} threads={threads} format={format:?} \
+                        "{shape} planner={planner} threads={threads} format={format:?} \
                          salt={salt_buckets:?}"
                     );
                     run_cell(ctx.clone(), &mut failures, || {
-                        let mut sys = system(&workload, format, threads, salt_buckets);
-                        let out = run_star(&mut sys, &star, planner).unwrap();
+                        let mut sys = system(workload, format, threads, salt_buckets);
+                        let out = run_star(&mut sys, star, planner).unwrap();
                         assert_eq!(
                             out.result, expected,
                             "{ctx}: result diverged from the n-way reference"
@@ -196,6 +216,7 @@ fn assert_star_grid(dims: usize) {
                                 "{ctx}: auto must run what the advisor chose"
                             ),
                         }
+                        check(planner, &out);
                     });
                 }
             }
@@ -212,6 +233,61 @@ fn two_dimension_star_grid_matches_the_reference() {
 #[test]
 fn three_dimension_star_grid_matches_the_reference() {
     assert_star_grid(3);
+}
+
+/// The live-column shape: dimensions large enough that every cascade step
+/// hash-routes and re-shuffles the intermediate, and aggregates that also
+/// read every foreign key and every dimension key. Each re-shuffle must
+/// then keep columns an earlier step consumed (and the key columns that
+/// duplicate them), while it still drops dimension 1's unread attribute.
+fn live_column_star() -> (Workload, StarQuery) {
+    let mut spec = WorkloadSpec::tiny_star(3);
+    for d in &mut spec.dimensions {
+        d.rows = 5_000;
+        d.fk_correlation = 0.6;
+    }
+    spec.dimensions[0].skew = KeySkew::SingleKey;
+    let workload = spec.generate().unwrap();
+    let mut star = workload.star_query();
+    let mut dim_start = star.fact_proj.len();
+    for (d, dq) in star.dims.iter().enumerate() {
+        star.aggs.push(AggSpec::SumI64(star.fact_keys[d]));
+        star.aggs.push(AggSpec::MaxI64(dim_start + dq.key));
+        dim_start += dq.proj.len();
+    }
+    (workload, star)
+}
+
+#[test]
+fn live_column_star_grid_matches_the_reference() {
+    let (workload, star) = live_column_star();
+    assert_grid("live-columns", &workload, &star, |planner, out| {
+        if planner == MultiwayPlanner::Cascade {
+            for i in 0..3 {
+                let stream = format!("net.intra_hdfs.stream.cascade_shuffle_{i}.tuples");
+                assert!(
+                    counter(&out.snapshot, &stream) > 0,
+                    "cascade step {i} must re-shuffle for this shape to test liveness"
+                );
+            }
+        }
+    });
+    // the re-shuffled intermediate's volume is thread-count-invariant too
+    for planner in [MultiwayPlanner::Cascade, MultiwayPlanner::Hypercube] {
+        for salt_buckets in [None, Some(4)] {
+            let runs: Vec<RunOutput> = [1, 8]
+                .into_iter()
+                .map(|threads| {
+                    let mut sys = system(&workload, FileFormat::Columnar, threads, salt_buckets);
+                    run_star(&mut sys, &star, planner).unwrap()
+                })
+                .collect();
+            assert_eq!(
+                runs[0].snapshot, runs[1].snapshot,
+                "{planner} salt={salt_buckets:?}: snapshot varies with threads"
+            );
+        }
+    }
 }
 
 /// The determinism contract extends to multiway: the full metrics
@@ -315,15 +391,20 @@ fn hypercube_reports_shuffle_volume() {
 #[test]
 fn spilling_star_joins_match_the_reference() {
     let mut failures: Vec<(String, String)> = Vec::new();
-    for dims in [2, 3] {
+    let shapes = [2, 3].map(|dims| {
         let workload = star_workload(dims);
         let star = workload.star_query();
+        (format!("dims={dims}"), workload, star)
+    });
+    let (live_workload, live_star) = live_column_star();
+    let live = ("live-columns".to_string(), live_workload, live_star);
+    for (shape, workload, star) in shapes.into_iter().chain([live]) {
         let expected = run_star_reference(&workload.l, &workload.dims, &star).unwrap();
         for planner in planner_grid() {
             for threads in thread_grid() {
                 for (limit, budget) in [(Some(64), None), (None, Some(4 << 10))] {
                     let ctx = format!(
-                        "dims={dims} planner={planner} threads={threads} \
+                        "{shape} planner={planner} threads={threads} \
                          rows={limit:?} bytes={budget:?}"
                     );
                     run_cell(ctx.clone(), &mut failures, || {
