@@ -16,8 +16,9 @@
 //! peers blocked in a mailbox receive notice it within one poll slice and
 //! abort with [`HybridError::Cancelled`]. The driver reports the first
 //! *root-cause* error (never a secondary cancellation) and catches worker
-//! panics, converting them into [`HybridError::Exec`] — no poisoned mutexes,
-//! no orphan threads ([`std::thread::scope`] joins everything).
+//! panics, converting them into [`HybridError::Exec`]; a panicking worker
+//! trips the token as it unwinds, so its peers abort at once — no poisoned
+//! mutexes, no orphan threads ([`std::thread::scope`] joins everything).
 
 use crate::system::SystemConfig;
 use hybrid_common::error::{HybridError, Result};
@@ -288,6 +289,20 @@ impl Driver {
         let cancel = &self.cancel;
         let (kill, straggler) = (&self.kill, &self.straggler);
 
+        // Trips the token while its worker's thread unwinds, so a panicking
+        // step cancels its peers at once: `collect` only sees the panic when
+        // it reaches that worker's handle, after joining every lower one,
+        // and those may be waiting on the dead worker's traffic.
+        struct CancelOnPanic<'a>(&'a CancelToken);
+
+        impl Drop for CancelOnPanic<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.cancel();
+                }
+            }
+        }
+
         // Walk one worker's whole step list on its thread. Checking the
         // token *between* steps catches peers that failed while this worker
         // was computing; mailboxes catch failures mid-receive. An injected
@@ -303,6 +318,7 @@ impl Driver {
             kill: &Option<WorkerKill>,
             straggle: Option<Duration>,
         ) -> std::result::Result<S, HybridError> {
+            let _guard = CancelOnPanic(cancel);
             for (step, (_, f)) in steps.iter().enumerate() {
                 if Driver::kill_matches(kill, label, w, step) {
                     cancel.cancel();
@@ -321,14 +337,12 @@ impl Driver {
             Ok(st)
         }
 
-        // Join every handle, converting panics into errors; a panicking
-        // worker must still cancel its peers.
+        // Join every handle, converting panics into errors.
         fn collect<'scope, S>(
             handles: Vec<
                 std::thread::ScopedJoinHandle<'scope, std::result::Result<S, HybridError>>,
             >,
             label: &str,
-            cancel: &CancelToken,
         ) -> (Vec<S>, Vec<HybridError>) {
             let mut states = Vec::with_capacity(handles.len());
             let mut errors = Vec::new();
@@ -337,7 +351,6 @@ impl Driver {
                     Ok(Ok(st)) => states.push(st),
                     Ok(Err(e)) => errors.push(e),
                     Err(payload) => {
-                        cancel.cancel();
                         errors.push(HybridError::Exec(format!(
                             "worker {label}-{w} panicked: {}",
                             panic_message(&payload)
@@ -367,10 +380,7 @@ impl Driver {
                     scope.spawn(move || drive(steps_b, w, st, label_b, cancel, kill, straggle))
                 })
                 .collect();
-            (
-                collect(handles_a, label_a, cancel),
-                collect(handles_b, label_b, cancel),
-            )
+            (collect(handles_a, label_a), collect(handles_b, label_b))
         });
         let (states_a, mut errors) = res_a;
         let (states_b, errors_b) = res_b;

@@ -1571,6 +1571,43 @@ mod tests {
     }
 
     #[test]
+    fn panicking_step_fails_the_run_without_waiting_out_the_timeout() {
+        // DB worker 0's handle is joined first, and it waits for traffic
+        // from a JEN worker whose step panics
+        let mut cfg = SystemConfig::paper_shape(2, 4);
+        cfg.threads = 8;
+        cfg.recv_timeout = Duration::from_secs(30);
+        let sys = HybridSystem::new(cfg).unwrap();
+        let driver = Driver::from_config(&sys.config);
+        let mailboxes = (0..2)
+            .map(|w| Mailbox::new(&sys, Endpoint::Db(DbWorkerId(w))).unwrap())
+            .map(|mb| mb.with_cancel(driver.cancel_token()))
+            .collect();
+        let mut db = TaskSet::new("db", mailboxes);
+        db.step(10, |_, mb: &mut Mailbox| {
+            mb.take_stream(StreamTag::FinalResult, 1).map(drop)
+        });
+        let mut jen = TaskSet::new("jen", vec![(); 4]);
+        jen.step(10, |w, _| {
+            assert_ne!(w, 3, "a bug in a JEN step");
+            Ok(())
+        });
+        let start = Instant::now();
+        let Err(err) = driver.run_pair(db, jen) else {
+            panic!("the run succeeded");
+        };
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "{:?}",
+            start.elapsed()
+        );
+        assert!(
+            matches!(&err, HybridError::Exec(m) if m.starts_with("worker jen-3 panicked")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn algorithm_names_are_unique() {
         let mut names: Vec<&str> = JoinAlgorithm::paper_variants()
             .into_iter()

@@ -153,8 +153,8 @@ impl JenWorker {
     ///    a column steps 2 or 4 already decoded.
     ///
     /// Every chunk of `read_cols` (columnar) or every field of the block
-    /// (text) is still walked and checked, so a malformed block fails as
-    /// a full decode of `read_cols` would.
+    /// (text) is still checked in full, so a malformed block fails as a
+    /// full decode of `read_cols` would.
     pub(crate) fn process_block(
         &self,
         table: &TableMeta,

@@ -96,8 +96,8 @@ pub fn decode(
 /// columns its predicate reads in full, and every other column only at the
 /// rows that survive.
 ///
-/// Whichever columns and rows are read, every value of every chunk that is
-/// read (columnar) or of every field of the block (text) is checked, so a
+/// Whichever columns and rows are read, the whole structure of every chunk
+/// that is read (columnar) or every field of the block (text) is checked, so a
 /// block that [`decode`] rejects for a set of columns is rejected here too
 /// when the same columns are read, at any selection.
 ///

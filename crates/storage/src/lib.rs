@@ -11,8 +11,9 @@
 //!
 //! * [`text`] — escaped, pipe-delimited rows; decoding always touches the
 //!   full payload ([`DecodeResult::bytes_read`] equals the file size);
-//! * [`columnar`] — per-column chunks with a directory, zigzag-varint
-//!   integer encoding, front-coded strings, and per-chunk min/max statistics.
+//! * [`columnar`] — per-column chunks with a directory, bit-packed
+//!   frame-of-reference integers, split-stream front-coded strings, and
+//!   per-chunk min/max statistics.
 //!   Decoding with a projection reads only the projected chunks, and the
 //!   min/max stats allow chunk skipping under `col <= v` predicates.
 //!
