@@ -4,11 +4,14 @@
 //! A panel is data: its sweep points, the formats and algorithms run at
 //! each, and its table. A claim is data too: a stable name, what the paper
 //! reports, and a check of the paper's shape (who wins, by roughly how
-//! much, where the crossovers sit) over the panel's rows. Each distinct
-//! (workload, format) is loaded once and each algorithm runs on it once,
-//! however many panels read it. The binary prints every table with its
-//! `OK matches paper` / `!! DIVERGES` lines, then the claims that diverged,
-//! and exits nonzero if there are any.
+//! much, where the crossovers sit) over the panel's rows, and the state it
+//! is recorded to show: it matches the paper, or it deviates for a stated
+//! cause (EXPERIMENTS.md). Each distinct (workload, format) is loaded once
+//! and each algorithm runs on it once, however many panels read it. The
+//! binary prints every table with its `OK matches paper` / `!! DIVERGES`
+//! lines, then the known deviations by name, and exits nonzero if any
+//! claim's state differs from its recorded one, in either direction: a
+//! deviation that closes fails the run just as a regression does.
 //!
 //! `paper_figures [WORD…]` runs the panels whose id starts with a word
 //! (`paper_figures fig13 advisor`), or all of them. `HYBRID_BENCH_SCALE`
@@ -67,6 +70,36 @@ impl Row<'_> {
 /// included), and whether the measurement matches the paper.
 type Check = fn(&[Row]) -> (String, bool);
 
+/// The state a claim is recorded to show at the default scale.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Expected {
+    Matches,
+    /// A known deviation from the paper, and its cause.
+    Deviates {
+        cause: &'static str,
+    },
+}
+
+/// Fig. 13(b)'s deviation, as EXPERIMENTS.md explains it.
+const FLAT_INGEST: &str = "ingestion priced at one flat rate: the EDW charges `read_hdfs` \
+per tuple as calibrated on the plain DB-side join, so db(BF) stays cheap once its filter \
+has cut the stream";
+
+struct Claim {
+    name: String,
+    /// What the paper reports.
+    paper: &'static str,
+    check: Check,
+    expected: Expected,
+}
+
+impl Claim {
+    fn deviates(self, cause: &'static str) -> Claim {
+        let expected = Expected::Deviates { cause };
+        Claim { expected, ..self }
+    }
+}
+
 struct Panel {
     id: &'static str,
     title: String,
@@ -77,12 +110,18 @@ struct Panel {
     headers: &'static [&'static str],
     /// A point's table lines: one, or one per algorithm for Table 1.
     table: fn(&Row) -> Vec<Vec<String>>,
-    /// (name, what the paper reports, check).
-    claims: Vec<(String, &'static str, Check)>,
+    claims: Vec<Claim>,
 }
 
-fn claim(id: &str, name: &str, paper: &'static str, check: Check) -> (String, &'static str, Check) {
-    (format!("{id}.{name}"), paper, check)
+fn claim(id: &str, name: &str, paper: &'static str, check: Check) -> Claim {
+    let name = format!("{id}.{name}");
+    let expected = Expected::Matches;
+    Claim {
+        name,
+        paper,
+        check,
+        expected,
+    }
 }
 
 /// Every panel, in the paper's order, at `base`'s scale.
@@ -223,6 +262,10 @@ fn panels(base: &WorkloadSpec) -> Vec<Panel> {
             claims: vec![
                 claim(id, "zigzag_steady", "vs steep DB side", zigzag_steady),
                 claim(id, "db_wins_to_0_01", "sigma_L <= 0.01", db_wins),
+                match claim(id, "hdfs_wins_from_0_1", "sigma_L >= 0.1", hdfs_wins_bf) {
+                    c if t == 0.1 => c.deviates(FLAT_INGEST),
+                    c => c,
+                },
             ],
         });
     }
@@ -310,12 +353,10 @@ fn panels(base: &WorkloadSpec) -> Vec<Panel> {
             "verdict",
         ],
         table: advisor,
-        claims: vec![claim(
-            "s5_5",
-            "advisor_within_25pct",
-            "7/8+",
-            advisor_agrees,
-        )],
+        claims: vec![
+            claim("s5_5", "advisor_within_25pct", "7/8+", advisor_agrees),
+            claim("s5_5", "exact_best", "2/8+", advisor_exact),
+        ],
     });
     panels
 }
@@ -522,6 +563,12 @@ fn hdfs_wins(rows: &[Row]) -> (String, bool) {
     ("HDFS side wins for sigma_L >= 0.1: ".into(), ok)
 }
 
+fn hdfs_wins_bf(rows: &[Row]) -> (String, bool) {
+    let db_loses = |r: &Row| best_sides(r).0 >= best_sides(r).1;
+    let ok = rows.iter().all(|r| r.spec.sigma_l < 0.1 || db_loses(r));
+    ("HDFS side wins for sigma_L >= 0.1: ".into(), ok)
+}
+
 fn zigzag_steady(rows: &[Row]) -> (String, bool) {
     let zz = rows[3].cost(3) / rows[0].cost(3);
     let db = best_sides(&rows[3]).0 / best_sides(&rows[0]).0;
@@ -569,6 +616,15 @@ fn advisor_agrees(rows: &[Row]) -> (String, bool) {
     );
     let text = format!("advisor within 25% of best on {agreements}/{n} configs: ");
     (text, agreements + 1 >= n)
+}
+
+fn advisor_exact(rows: &[Row]) -> (String, bool) {
+    let exact = rows
+        .iter()
+        .filter(|r| advisor_pick(r).0 == r.cells[0].advised);
+    let (exact, n) = (exact.count(), rows.len());
+    let text = format!("advisor picks the measured best on {exact}/{n} configs (floor 2): ");
+    (text, exact >= 2)
 }
 
 // --- measure, report, exit --------------------------------------------------
@@ -635,10 +691,26 @@ fn rows<'a>(p: &'a Panel, cells: &'a [Cell]) -> Vec<Row<'a>> {
     p.points.iter().map(row).collect()
 }
 
-/// Prints every panel's table and verdict lines, and returns the claims
-/// that diverged as (name, verdict line, what the paper reports).
-fn report(panels: &[Panel], cells: &[Cell]) -> Vec<(String, String, &'static str)> {
-    let mut diverged = Vec::new();
+/// A claim whose measured state differs from its recorded one: its name,
+/// verdict line, and what the paper reports.
+type Unexpected = (String, String, &'static str);
+
+/// What the claims showed: those off their recorded state, and the known
+/// deviations that held, by name with their cause.
+struct Outcome {
+    matched: usize,
+    unexpected: Vec<Unexpected>,
+    deviations: Vec<(String, &'static str)>,
+}
+
+/// Prints every panel's table and verdict lines, and sorts each claim's
+/// state against its recorded one.
+fn report(panels: &[Panel], cells: &[Cell]) -> Outcome {
+    let mut outcome = Outcome {
+        matched: 0,
+        unexpected: Vec::new(),
+        deviations: Vec::new(),
+    };
     for p in panels {
         let rows = rows(p, cells);
         print_table(
@@ -646,20 +718,29 @@ fn report(panels: &[Panel], cells: &[Cell]) -> Vec<(String, String, &'static str
             p.headers,
             &rows.iter().flat_map(p.table).collect::<Vec<_>>(),
         );
-        for (name, paper, check) in &p.claims {
-            let (line, ok) = check(&rows);
-            println!("  {line}{}", verdict(ok));
-            if !ok {
+        for c in &p.claims {
+            let (line, ok) = (c.check)(&rows);
+            let note = match (ok, c.expected) {
+                (false, Expected::Deviates { cause }) => {
+                    outcome.deviations.push((c.name.clone(), cause));
+                    " (known deviation)"
+                }
+                (true, Expected::Deviates { .. }) => " (recorded as a known deviation)",
+                _ => "",
+            };
+            println!("  {line}{}{note}", verdict(ok));
+            outcome.matched += usize::from(ok);
+            if ok != (c.expected == Expected::Matches) {
                 let line = line.trim_end().trim_end_matches(':').to_string();
-                diverged.push((name.clone(), line, *paper));
+                outcome.unexpected.push((c.name.clone(), line, c.paper));
             }
         }
     }
-    diverged
+    outcome
 }
 
-fn exit_code(diverged: &[(String, String, &str)]) -> ExitCode {
-    if diverged.is_empty() {
+fn exit_code(unexpected: &[Unexpected]) -> ExitCode {
+    if unexpected.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -678,16 +759,21 @@ fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
         );
         return Ok(ExitCode::from(2));
     }
-    let diverged = report(&panels, &measure(&panels)?);
+    let outcome = report(&panels, &measure(&panels)?);
     let claims: usize = panels.iter().map(|p| p.claims.len()).sum();
+    let (matched, off) = (outcome.matched, outcome.unexpected.len());
     println!(
-        "\n== Claims: {}/{claims} match the paper ==",
-        claims - diverged.len()
+        "\n== Claims: {matched}/{claims} match the paper, {} known deviation(s), \
+{off} off their recorded state ==",
+        outcome.deviations.len()
     );
-    for (name, line, paper) in &diverged {
+    for (name, cause) in &outcome.deviations {
+        println!("  known deviation {name}: {cause}");
+    }
+    for (name, line, paper) in &outcome.unexpected {
         println!("  !! {name}: {line} — paper: {paper}");
     }
-    Ok(exit_code(&diverged))
+    Ok(exit_code(&outcome.unexpected))
 }
 
 #[cfg(test)]
@@ -700,7 +786,7 @@ mod tests {
         let mut names: Vec<&str> = panels
             .iter()
             .flat_map(|p| &p.claims)
-            .map(|c| &*c.0)
+            .map(|c| &*c.name)
             .collect();
         let all = names.len();
         names.sort_unstable();
@@ -708,17 +794,12 @@ mod tests {
         assert_eq!(names.len(), all, "a claim name repeats");
     }
 
-    /// Fig. 8(a)'s default-scale times, with zigzag's at sigma_L = 0.4
-    /// moved: every claim of the panel is evaluated, none is run.
-    fn fig8a_report(zigzag_at_0_4: f64) -> Vec<(String, String, &'static str)> {
+    /// One panel's report over synthetic times, `times[point][alg]`: every
+    /// claim of the panel is evaluated, none is run.
+    fn panel_report(id: &str, times: &[&[f64]]) -> Outcome {
         let mut panels = panels(&WorkloadSpec::tiny());
-        panels.retain(|p| p.id == "fig8a");
+        panels.retain(|p| p.id == id);
         let (specs, algs) = (&panels[0].points, panels[0].algs);
-        let times = [
-            [262.0, 264.0, 196.0],
-            [262.0, 264.0, 208.0],
-            [537.0, 264.0, zigzag_at_0_4],
-        ];
         let cell = |((_, spec), i): (&(String, WorkloadSpec), usize), j: usize| Cell {
             load: (sel(spec), Columnar),
             alg: algs[j],
@@ -728,9 +809,20 @@ mod tests {
         };
         let points = specs.iter().zip(0..);
         let cells: Vec<Cell> = points
-            .flat_map(|p| (0..3).map(move |j| cell(p, j)))
+            .flat_map(|p| (0..algs.len()).map(move |j| cell(p, j)))
             .collect();
         report(&panels, &cells)
+    }
+
+    /// Fig. 8(a)'s default-scale times, with zigzag's at sigma_L = 0.4
+    /// moved.
+    fn fig8a_report(zigzag_at_0_4: f64) -> Vec<Unexpected> {
+        let times: [&[f64]; 3] = [
+            &[262.0, 264.0, 196.0],
+            &[262.0, 264.0, 208.0],
+            &[537.0, 264.0, zigzag_at_0_4],
+        ];
+        panel_report("fig8a", &times).unexpected
     }
 
     #[test]
@@ -745,5 +837,33 @@ mod tests {
         assert_eq!(diverged.len(), 1, "{diverged:?}");
         assert_eq!(diverged[0].0, "fig8a.max_speedup_vs_rep");
         assert!(diverged[0].1.contains("3.6x"), "{diverged:?}");
+    }
+
+    /// Fig. 13(b) rows (db, db(BF), repartition(BF), zigzag) per sigma_L,
+    /// with db(BF)'s time at the two large sigma_L points set.
+    fn fig13b_report(db_bf_large: f64) -> Outcome {
+        let times: [&[f64]; 4] = [
+            &[152.0, 160.0, 200.0, 220.0],
+            &[160.0, 165.0, 200.0, 221.0],
+            &[300.0, db_bf_large, 230.0, 222.0],
+            &[600.0, db_bf_large + 2.0, 240.0, 223.0],
+        ];
+        panel_report("fig13b", &times)
+    }
+
+    #[test]
+    fn a_known_deviation_passes_and_fails_the_run_once_it_closes() {
+        // db(BF) under zigzag at sigma_L >= 0.1: the recorded deviation
+        let held = fig13b_report(177.0);
+        assert!(held.unexpected.is_empty(), "{:?}", held.unexpected);
+        let names: Vec<&str> = held.deviations.iter().map(|d| &*d.0).collect();
+        assert_eq!(names, ["fig13b.hdfs_wins_from_0_1"]);
+        assert_eq!(held.deviations[0].1, FLAT_INGEST);
+        // the HDFS side wins there: the paper's shape, but not the record
+        let closed = fig13b_report(250.0);
+        assert!(closed.deviations.is_empty());
+        assert_eq!(exit_code(&closed.unexpected), ExitCode::FAILURE);
+        assert_eq!(closed.unexpected.len(), 1, "{:?}", closed.unexpected);
+        assert_eq!(closed.unexpected[0].0, "fig13b.hdfs_wins_from_0_1");
     }
 }
