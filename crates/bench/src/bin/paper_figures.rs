@@ -655,7 +655,7 @@ fn measure(panels: &[Panel]) -> hybrid_common::error::Result<Vec<Cell>> {
             }
         }
         let mut exp = ExpSystem::build(spec.clone(), format)?;
-        let advised = advise(&exp.workload.estimates(exp.system.config.jen_workers));
+        let advised = advise(&exp.workload.estimates(&exp.system)?);
         for alg in algs {
             let m = exp.run(alg)?;
             let (cost_s, summary) = (m.cost.total_s, m.summary);

@@ -10,8 +10,9 @@
 //! module pauses at that phase boundary, compares observed actuals against
 //! the [`QueryEstimates`] the plan was chosen with, and when the divergence
 //! exceeds [`SystemConfig::replan_threshold`], re-prices the remaining work
-//! with corrected estimates. If a different strategy now wins by a clear
-//! hysteresis margin, the rest of the old plan is abandoned and the query
+//! with corrected estimates on the same cost model the advisor picked with
+//! ([`crate::costmodel::replan`]). If a different strategy now wins by a
+//! clear hysteresis margin, the rest of the old plan is abandoned and the query
 //! restarts as the new algorithm under a fresh fabric sub-namespace —
 //! *reusing everything the first phase already paid for*: the scanned
 //! `T'` partitions, the filtered `L'` blocks, and (via the [`BloomCache`])
@@ -38,10 +39,14 @@
 //! [`SystemConfig::replan_threshold`]: crate::system::SystemConfig::replan_threshold
 //! [`BloomCache`]: crate::cache::BloomCache
 
-use crate::advisor::{cost_of, estimated_costs, QueryEstimates};
+use crate::advisor::QueryEstimates;
 use crate::algorithms::{
     dispatch, finish_run, first_phase, prepare_run, run, Driver, Input, JoinAlgorithm,
 };
+use crate::costmodel::{
+    consumes_bf_db, predict, replan_break_even, CostModel, ScaleFactors, SunkWork,
+};
+use crate::estimation::max_over_mean;
 use crate::query::HybridQuery;
 use crate::stats::RunOutput;
 use crate::system::HybridSystem;
@@ -101,6 +106,8 @@ pub(crate) struct PrescanData {
 pub struct Observation {
     pub t_prime_bytes: u64,
     pub l_prime_bytes: u64,
+    pub t_prime_rows: u64,
+    pub l_prime_rows: u64,
     /// Observed `S_T'`: fraction of `T'` join keys that appear in `L'`.
     pub st: f64,
     /// Observed `S_L'`.
@@ -108,6 +115,8 @@ pub struct Observation {
     /// Observed shuffle imbalance of the surviving `L'` keys under the
     /// agreed hash (hottest worker's share over the mean).
     pub shuffle_skew: f64,
+    /// The same imbalance over only the `L'` rows whose key `T'` holds.
+    pub joined_shuffle_skew: f64,
 }
 
 /// Per-dimension observed/estimated divergence ratios (each ≥ 1.0).
@@ -144,51 +153,28 @@ fn err_ratio(actual: f64, estimate: f64) -> f64 {
         .min(MAX_ERR_RATIO)
 }
 
-/// Does this strategy transfer a serialized `BF_DB` to the JEN side? These
-/// are the plans whose restart can reuse the filter the abandoned attempt
-/// already built.
-pub(crate) fn uses_bf_db(algorithm: JoinAlgorithm) -> bool {
-    matches!(
-        algorithm,
-        JoinAlgorithm::DbSide { bloom: true }
-            | JoinAlgorithm::Repartition { bloom: true }
-            | JoinAlgorithm::Zigzag
-    )
-}
-
-/// Remaining-work re-pricing: with `corrected` estimates, find the
-/// strategy that now beats `current` by the hysteresis margin.
-///
-/// `bf_db_discount` is the byte-equivalent credit a `BF_DB`-using
-/// candidate gets when the abandoned plan already built the filter (its
-/// serialized bytes sit in the Bloom cache, so only the multicast — not
-/// the build — is left to pay; the discount is the build's share of the
-/// `bf·n` term, conservatively the whole term since the sunk prescan also
-/// already applied the filter to `L`). Returns the winner with its
-/// remaining cost and the current plan's, or `None` when staying put wins.
-pub(crate) fn pick_replacement(
+/// The strategy a restart at the observation point should switch to, if
+/// any: the paper variant whose remaining work, priced by the cost model
+/// on the volumes `corrected` predicts, beats `current`'s by the
+/// hysteresis margin. What the prescan already paid — both scans, the
+/// coordination, and a `BF_DB` that `current` built — is sunk for every
+/// candidate alike. Priced at the estimates' own scale: the remaining
+/// work is linear in the volumes, so the scale cannot change the answer.
+pub(crate) fn replan_target(
     corrected: &QueryEstimates,
     current: JoinAlgorithm,
-    bf_db_discount: f64,
-) -> Option<(JoinAlgorithm, f64, f64)> {
-    let remaining = |alg: JoinAlgorithm, cost: f64| {
-        if uses_bf_db(alg) {
-            (cost - bf_db_discount).max(0.0)
-        } else {
-            cost
-        }
-    };
-    let current_remaining = remaining(current, cost_of(current, corrected)?);
-    let (best, best_remaining) = estimated_costs(corrected)
+) -> Option<JoinAlgorithm> {
+    let (model, scale) = (CostModel::paper(), ScaleFactors::identity());
+    let sunk = SunkWork::at_observation(current);
+    let remaining = |alg| model.estimate_remaining(alg, &predict(corrected, alg), &scale, &sunk);
+    let incumbent = remaining(current);
+    JoinAlgorithm::paper_variants()
         .into_iter()
-        .filter(|(a, _)| *a != current)
-        .map(|(a, c)| (a, remaining(a, c)))
-        .min_by(|x, y| x.1.partial_cmp(&y.1).expect("costs are finite"))?;
-    (best_remaining * REPLAN_HYSTERESIS < current_remaining).then_some((
-        best,
-        best_remaining,
-        current_remaining,
-    ))
+        .filter(|&alg| alg != current)
+        .map(|alg| (alg, remaining(alg)))
+        .min_by(|a, b| a.1.total_s.total_cmp(&b.1.total_s))
+        .filter(|(_, best)| replan_break_even(&incumbent, best))
+        .map(|(alg, _)| alg)
 }
 
 impl ReplanController {
@@ -264,19 +250,19 @@ impl ReplanController {
         let corrected = QueryEstimates {
             t_prime_bytes: obs.t_prime_bytes,
             l_prime_bytes: obs.l_prime_bytes,
+            t_prime_rows: obs.t_prime_rows,
+            l_prime_rows: obs.l_prime_rows,
             st: obs.st,
             sl: obs.sl,
             num_jen_workers: sys.config.jen_workers,
             bloom_bytes: query.bloom.wire_bytes() as u64,
             shuffle_skew: obs.shuffle_skew,
+            joined_shuffle_skew: obs.joined_shuffle_skew,
             mem_budget_per_worker: sys.mem_budget_per_worker(),
+            batch_rows: sys.config.batch_rows as u64,
+            ..self.estimates
         };
-        let discount = if pre.bloomed {
-            (query.bloom.wire_bytes() * sys.config.jen_workers) as f64
-        } else {
-            0.0
-        };
-        pick_replacement(&corrected, current, discount).map(|(target, _, _)| target)
+        replan_target(&corrected, current)
     }
 }
 
@@ -310,10 +296,10 @@ fn execute_adaptive(
     algorithm: JoinAlgorithm,
     controller: &ReplanController,
 ) -> Result<Batch> {
-    if cost_of(algorithm, &controller.estimates).is_none() {
+    if !JoinAlgorithm::paper_variants().contains(&algorithm) {
         return dispatch(sys, query, algorithm, Input::Cold);
     }
-    let pre = prescan(sys, query, uses_bf_db(algorithm))?;
+    let pre = prescan(sys, query, consumes_bf_db(algorithm))?;
     let obs = observe(query, &pre)?;
     match controller.decide(sys, query, algorithm, &obs, &pre) {
         None => dispatch(sys, query, algorithm, Input::Parked(pre)),
@@ -375,41 +361,41 @@ pub(crate) fn prescan(
 /// observed ≈ 1, so cost formulas evaluated at the observation price
 /// exactly the shuffle still ahead.
 pub(crate) fn observe(query: &HybridQuery, pre: &PrescanData) -> Result<Observation> {
-    let mut t_bytes = 0u64;
+    let (mut t_bytes, mut t_rows) = (0u64, 0u64);
     let mut t_keys: HashSet<i64> = HashSet::new();
     for part in &pre.t_parts {
         t_bytes += part.serialized_bytes() as u64;
+        t_rows += part.num_rows() as u64;
         let keys = part.column(query.db_key)?;
         for row in 0..part.num_rows() {
             t_keys.insert(keys.key_at(row)?);
         }
     }
     let num_jen = pre.l_blocks.len().max(1);
-    let mut l_bytes = 0u64;
+    let (mut l_bytes, mut l_rows) = (0u64, 0u64);
     let mut l_keys: HashSet<i64> = HashSet::new();
     let mut worker_loads = vec![0u64; num_jen];
+    let mut joined_loads = vec![0u64; num_jen];
     for blocks in &pre.l_blocks {
         for block in blocks {
             l_bytes += block.serialized_bytes() as u64;
+            l_rows += block.num_rows() as u64;
             let keys = block.column(query.hdfs_key)?;
             for row in 0..block.num_rows() {
                 let key = keys.key_at(row)?;
                 l_keys.insert(key);
-                worker_loads[agreed_shuffle_partition(key, num_jen)] += 1;
+                let worker = agreed_shuffle_partition(key, num_jen);
+                worker_loads[worker] += 1;
+                joined_loads[worker] += u64::from(t_keys.contains(&key));
             }
         }
     }
     let inter = t_keys.intersection(&l_keys).count() as f64;
-    let load_total: u64 = worker_loads.iter().sum();
-    let shuffle_skew = if load_total == 0 {
-        1.0
-    } else {
-        let max = *worker_loads.iter().max().expect("num_jen >= 1") as f64;
-        max * num_jen as f64 / load_total as f64
-    };
     Ok(Observation {
         t_prime_bytes: t_bytes,
         l_prime_bytes: l_bytes,
+        t_prime_rows: t_rows,
+        l_prime_rows: l_rows,
         st: if t_keys.is_empty() {
             1.0
         } else {
@@ -420,7 +406,8 @@ pub(crate) fn observe(query: &HybridQuery, pre: &PrescanData) -> Result<Observat
         } else {
             inter / l_keys.len() as f64
         },
-        shuffle_skew,
+        shuffle_skew: max_over_mean(&worker_loads),
+        joined_shuffle_skew: max_over_mean(&joined_loads),
     })
 }
 
@@ -574,20 +561,58 @@ mod tests {
     }
 
     /// Rough-but-sane estimates for the paper fixture, as a planner with
-    /// decent statistics would produce them.
+    /// decent statistics would produce them: the exact first-phase actuals
+    /// over a sample's scan volumes.
     fn honest_estimates(sys: &HybridSystem, query: &HybridQuery) -> QueryEstimates {
         let pre = prescan(sys, query, false).unwrap();
         let obs = observe(query, &pre).unwrap();
+        let sampled = crate::estimation::sample_stats(sys, query, 8).unwrap();
         QueryEstimates {
             t_prime_bytes: obs.t_prime_bytes,
             l_prime_bytes: obs.l_prime_bytes,
+            t_prime_rows: obs.t_prime_rows,
+            l_prime_rows: obs.l_prime_rows,
             st: obs.st,
             sl: obs.sl,
-            num_jen_workers: sys.config.jen_workers,
-            bloom_bytes: query.bloom.wire_bytes() as u64,
             shuffle_skew: obs.shuffle_skew,
-            mem_budget_per_worker: None,
+            joined_shuffle_skew: obs.joined_shuffle_skew,
+            ..sampled.to_estimates(query, sys.config.jen_workers, None)
         }
+    }
+
+    /// Estimates of a query on 4 JEN workers whose `T'` and `L'` rows are
+    /// 8 and 48 wire bytes (the generated query's widths), over an `L` of
+    /// twice `L'`'s rows.
+    fn estimates(t_prime_bytes: u64, l_prime_bytes: u64, st: f64, sl: f64) -> QueryEstimates {
+        let l_prime_rows = l_prime_bytes / 48;
+        QueryEstimates {
+            t_prime_bytes,
+            l_prime_bytes,
+            t_prime_rows: t_prime_bytes / 8,
+            l_prime_rows,
+            l_rows: 2 * l_prime_rows,
+            l_bytes_read: 2 * l_prime_rows * 38,
+            db_prep_bytes: t_prime_bytes / 8 * 12,
+            st,
+            sl,
+            num_jen_workers: 4,
+            bloom_bytes: 512,
+            shuffle_skew: 1.0,
+            joined_shuffle_skew: 1.0,
+            mem_budget_per_worker: None,
+            batch_rows: 4096,
+        }
+    }
+
+    /// The remaining seconds of a restart onto `alg` at the observation
+    /// point of `current`, as [`replan_target`] prices it.
+    fn remaining(est: &QueryEstimates, current: JoinAlgorithm, alg: JoinAlgorithm) -> f64 {
+        let sunk = SunkWork::at_observation(current);
+        let id = ScaleFactors::identity();
+        let summary = predict(est, alg);
+        CostModel::paper()
+            .estimate_remaining(alg, &summary, &id, &sunk)
+            .total_s
     }
 
     #[test]
@@ -605,14 +630,8 @@ mod tests {
     #[test]
     fn bloomed_observation_compares_post_filter_expectations() {
         let est = QueryEstimates {
-            t_prime_bytes: 10_000,
-            l_prime_bytes: 1_000_000,
-            st: 0.2,
-            sl: 0.05,
-            num_jen_workers: 4,
-            bloom_bytes: 200,
             shuffle_skew: 1.1,
-            mem_budget_per_worker: None,
+            ..estimates(10_000, 1_000_000, 0.2, 0.05)
         };
         let controller = ReplanController::new(1.5, est);
         // What a bloomed prescan observes when the estimate was honest:
@@ -621,9 +640,12 @@ mod tests {
         let obs = Observation {
             t_prime_bytes: 10_000,
             l_prime_bytes: 50_000,
+            t_prime_rows: 1_250,
+            l_prime_rows: 1_041,
             st: 0.2,
             sl: 1.0,
             shuffle_skew: 3.0,
+            joined_shuffle_skew: 3.0,
         };
         assert!(
             controller.errors(&obs, true).worst() < 1.1,
@@ -636,81 +658,83 @@ mod tests {
 
     #[test]
     fn uses_bf_db_table() {
-        assert!(uses_bf_db(JoinAlgorithm::DbSide { bloom: true }));
-        assert!(uses_bf_db(JoinAlgorithm::Repartition { bloom: true }));
-        assert!(uses_bf_db(JoinAlgorithm::Zigzag));
-        assert!(!uses_bf_db(JoinAlgorithm::DbSide { bloom: false }));
-        assert!(!uses_bf_db(JoinAlgorithm::Repartition { bloom: false }));
-        assert!(!uses_bf_db(JoinAlgorithm::Broadcast));
-        assert!(!uses_bf_db(JoinAlgorithm::SemiJoin));
-        assert!(!uses_bf_db(JoinAlgorithm::PerfJoin));
+        assert!(consumes_bf_db(JoinAlgorithm::DbSide { bloom: true }));
+        assert!(consumes_bf_db(JoinAlgorithm::Repartition { bloom: true }));
+        assert!(consumes_bf_db(JoinAlgorithm::Zigzag));
+        assert!(!consumes_bf_db(JoinAlgorithm::DbSide { bloom: false }));
+        assert!(!consumes_bf_db(JoinAlgorithm::Repartition { bloom: false }));
+        assert!(!consumes_bf_db(JoinAlgorithm::Broadcast));
+        assert!(!consumes_bf_db(JoinAlgorithm::SemiJoin));
+        assert!(!consumes_bf_db(JoinAlgorithm::PerfJoin));
     }
 
     #[test]
     fn pick_replacement_applies_hysteresis() {
-        // Selective join keys make repartition(BF) far cheaper than plain
-        // repartition (3t + 0.7·l·sl + bf·n vs 3t + 0.7·l). T' is big
-        // enough that broadcast (3t·n) stays out of the race, and sl is
-        // moderate enough that DB-side ingest (2·l·sl) loses too; st = 1
-        // leaves zigzag exactly one bf·n behind repartition(BF).
-        let est = QueryEstimates {
-            t_prime_bytes: 70_000,
-            l_prime_bytes: 1_000_000,
-            st: 1.0,
-            sl: 0.2,
-            num_jen_workers: 4,
-            bloom_bytes: 512,
-            shuffle_skew: 1.0,
-            mem_budget_per_worker: None,
-        };
-        let picked = pick_replacement(&est, JoinAlgorithm::Repartition { bloom: false }, 0.0)
-            .expect("a decisive win must replan");
-        assert_eq!(picked.0, JoinAlgorithm::Repartition { bloom: true });
-        assert!(picked.1 * REPLAN_HYSTERESIS < picked.2);
+        // T' of 10k rows makes broadcast's four copies dear, and a 1M-row
+        // L' makes ingesting it into the database dearer still; selective
+        // join keys then make repartition(BF) far cheaper than plain
+        // repartition: a fifth of the shuffle, with st = 1 leaving zigzag
+        // only an extra BF_H round trip behind.
+        let est = estimates(80_000, 48_000_000, 1.0, 0.2);
+        let rep = JoinAlgorithm::Repartition { bloom: false };
+        let rep_bf = JoinAlgorithm::Repartition { bloom: true };
+        let picked = replan_target(&est, rep).expect("a decisive win must replan");
+        assert_eq!(picked, rep_bf);
+        assert!(remaining(&est, rep, rep_bf) * REPLAN_HYSTERESIS < remaining(&est, rep, rep));
         // When the current plan is already the winner, stay put.
-        assert!(pick_replacement(&est, JoinAlgorithm::Repartition { bloom: true }, 0.0).is_none());
+        assert!(replan_target(&est, rep_bf).is_none());
         // A marginal edge under the hysteresis factor also stays put:
         // sl near 1 makes the BF variant only epsilon-different.
-        let close = QueryEstimates { sl: 0.99, ..est };
-        assert!(
-            pick_replacement(&close, JoinAlgorithm::Repartition { bloom: false }, 0.0).is_none()
-        );
+        let close = estimates(80_000, 48_000_000, 1.0, 0.99);
+        assert!(remaining(&close, rep, rep_bf) < remaining(&close, rep, rep));
+        assert!(replan_target(&close, rep).is_none());
     }
 
     #[test]
     fn bf_db_discount_credits_bloom_users_only() {
-        let est = QueryEstimates {
-            t_prime_bytes: 1_000,
-            l_prime_bytes: 100_000,
-            st: 0.5,
-            sl: 0.5,
-            num_jen_workers: 4,
-            bloom_bytes: 512,
-            shuffle_skew: 1.0,
-            mem_budget_per_worker: None,
-        };
-        let discount = (est.bloom_bytes * est.num_jen_workers as u64) as f64;
-        // Discounted candidates drop by exactly bf·n; plain ones don't.
-        for (alg, cost) in estimated_costs(&est) {
-            let want = if uses_bf_db(alg) {
-                (cost - discount).max(0.0)
-            } else {
-                cost
-            };
-            // pick_replacement's internal `remaining` is what we assert on,
-            // via a degenerate call that filters everything but `alg` out:
-            // compare a two-way race between alg and itself-as-current.
-            let got = pick_replacement(&est, alg, discount)
-                .map(|(_, _, current)| current)
-                .unwrap_or_else(|| {
-                    // no replacement won — recompute the current side alone
-                    if uses_bf_db(alg) {
-                        (cost_of(alg, &est).unwrap() - discount).max(0.0)
-                    } else {
-                        cost_of(alg, &est).unwrap()
-                    }
-                });
-            assert!((got - want).abs() < 1e-9, "{alg:?}");
+        // A restart after a bloomed prescan finds BF_DB in the cache: a
+        // Bloom consumer's remaining work drops by exactly BF_DB's build
+        // (one key per T' row) and multicast; every other plan's is
+        // unchanged, and zigzag still pays for its own BF_H.
+        let est = estimates(1_000, 100_000, 0.5, 0.5);
+        let cluster = CostModel::paper().cluster;
+        let bf_db_s = est.t_prime_rows as f64 / cluster.bloom_build_rate
+            + (est.bloom_bytes * est.num_jen_workers as u64) as f64 / cluster.cross_bw;
+        let (bloomed, plain) = (JoinAlgorithm::Zigzag, JoinAlgorithm::Broadcast);
+        for alg in JoinAlgorithm::paper_variants() {
+            let (with, without) = (remaining(&est, bloomed, alg), remaining(&est, plain, alg));
+            let want = if consumes_bf_db(alg) { bf_db_s } else { 0.0 };
+            assert!((without - with - want).abs() < 1e-12, "{alg:?}");
+        }
+        let zigzag = predict(&est, JoinAlgorithm::Zigzag);
+        assert!(zigzag.bloom_keys_inserted > est.t_prime_rows, "BF_H keys");
+    }
+
+    /// The replan decision, like the advice, does not depend on the scale
+    /// the estimates are given at: the remaining work is linear in the
+    /// volumes, with the fixed overhead sunk.
+    #[test]
+    fn replan_decision_is_invariant_to_the_volume_scale() {
+        let scaled = crate::advisor::tests::scaled;
+        let cases = [
+            estimates(80_000, 48_000_000, 1.0, 0.2),
+            estimates(80_000, 48_000_000, 1.0, 0.99),
+            estimates(3_000, 30_000, 1.0, 0.125),
+            estimates(1_000, 100_000, 0.5, 0.5),
+            QueryEstimates {
+                shuffle_skew: 4.0,
+                ..estimates(200_000, 9_600_000, 0.3, 0.6)
+            },
+        ];
+        for est in cases {
+            // counts of 10⁴+ rows, so rounding a predicted volume to whole
+            // rows cannot tip a ratio across the hysteresis margin
+            let est = scaled(&est, 100.0);
+            let big = scaled(&est, 1e4);
+            for current in JoinAlgorithm::paper_variants() {
+                let (small, large) = (replan_target(&est, current), replan_target(&big, current));
+                assert_eq!(small, large, "{est:?} from {current}");
+            }
         }
     }
 
@@ -833,15 +857,10 @@ mod tests {
         let query = paper_query();
         let expected = run_reference(&t_data(), &l_data(400), &query).unwrap();
         assert!(expected.num_rows() > 0);
+        // truth: sl ≈ 0.125 — the estimator claims no key filters
         let bogus = QueryEstimates {
-            t_prime_bytes: 3_000,
-            l_prime_bytes: 30_000,
-            st: 1.0,
-            sl: 1.0, // truth ≈ 0.125: the estimator claims no key filters
-            num_jen_workers: 4,
             bloom_bytes: paper_query().bloom.wire_bytes() as u64,
-            shuffle_skew: 1.0,
-            mem_budget_per_worker: None,
+            ..estimates(3_000, 30_000, 1.0, 1.0)
         };
         let mut sys = system(400, Some(1.5));
         let out = run_adaptive(
@@ -902,14 +921,8 @@ mod tests {
     fn replan_namespace_is_reusable() {
         let query = paper_query();
         let bogus = QueryEstimates {
-            t_prime_bytes: 3_000,
-            l_prime_bytes: 30_000,
-            st: 1.0,
-            sl: 1.0,
-            num_jen_workers: 4,
             bloom_bytes: paper_query().bloom.wire_bytes() as u64,
-            shuffle_skew: 1.0,
-            mem_budget_per_worker: None,
+            ..estimates(3_000, 30_000, 1.0, 1.0)
         };
         let mut sys = system(400, Some(1.5));
         let ns_before = sys.fabric.ns();

@@ -5,22 +5,39 @@
 //! relatively small … for a large HDFS table without highly selective
 //! predicates, zigzag join is the most reliable join method."
 //!
-//! The advisor turns those findings into a transfer-volume estimate per
-//! algorithm and picks the cheapest. Scan cost is excluded: every strategy
-//! scans `L` exactly once, so transfers are what separates them — precisely
-//! the quantity the paper's Bloom filters attack.
+//! The advisor prices every paper variant with the one cost model the
+//! figures use ([`crate::costmodel`]): it predicts the volumes each
+//! algorithm would move from the query's estimates and picks the plan the
+//! model finds fastest. Its rules are therefore the model's — in
+//! particular the model prices Fig. 13(b)'s ingestion at one flat rate,
+//! so at σT = 0.1 it prefers db(BF) where the paper prefers zigzag
+//! (EXPERIMENTS.md §5.5).
+//!
+//! Star queries are still priced in weighted bytes ([`advise_multiway`]).
 
 use crate::algorithms::JoinAlgorithm;
+use crate::costmodel::{predict, CostBreakdown, CostModel, ScaleFactors};
 
 /// Pre-execution estimates about one query (from catalog statistics in a
 /// real system; the experiment harness derives them from the generator's
-/// spec).
+/// ground truth, the service from a sample).
 #[derive(Debug, Clone, Copy)]
 pub struct QueryEstimates {
     /// Bytes of the database table after local predicates + projection.
     pub t_prime_bytes: u64,
     /// Bytes of the HDFS table after local predicates + projection.
     pub l_prime_bytes: u64,
+    /// Rows of `T'`.
+    pub t_prime_rows: u64,
+    /// Rows of `L'`.
+    pub l_prime_rows: u64,
+    /// Rows of `L` the scan reads, before its predicate.
+    pub l_rows: u64,
+    /// Bytes the `L` scan reads from storage (only the columns it needs,
+    /// on the columnar format).
+    pub l_bytes_read: u64,
+    /// Bytes the database reads to produce `T'` (index or table access).
+    pub db_prep_bytes: u64,
     /// Join-key selectivity on `T'` (fraction of `T'` join keys that appear
     /// in `L'` — `S_T'` in the paper). 1.0 when unknown.
     pub st: f64,
@@ -36,14 +53,45 @@ pub struct QueryEstimates {
     /// phase, so shuffle-based strategies scale with it; broadcast (which
     /// replicates `T'` everywhere and keeps `L` local) is immune.
     pub shuffle_skew: f64,
+    /// The same imbalance over only the `L'` rows whose key joins `T'` —
+    /// what the shuffle of a `BF_DB`-filtered `L'` routes. Few surviving
+    /// keys spread less evenly over the workers than many.
+    pub joined_shuffle_skew: f64,
     /// Build-side memory budget *per JEN worker*, bytes (`None` =
     /// unbounded). When a strategy's per-worker hash build exceeds it, the
     /// hybrid hash join evicts the excess to local spill runs and re-reads
-    /// it at probe time — a real cost the advisor must charge, so a tight
-    /// budget can flip the advice toward a plan that builds less (or not
-    /// at all) on the JEN side.
+    /// it at probe time — a real cost the model charges, so a tight budget
+    /// can flip the advice toward a plan that builds less (or not at all)
+    /// on the JEN side.
     pub mem_budget_per_worker: Option<u64>,
+    /// Rows per fabric data message (`SystemConfig::batch_rows`).
+    pub batch_rows: u64,
 }
+
+/// The model's estimate for running `algorithm` on a query with estimates
+/// `est`, at the estimates' own scale; `None` for the strategies the
+/// advisor does not price (semi-join and PERF baselines).
+pub fn predicted_cost(est: &QueryEstimates, algorithm: JoinAlgorithm) -> Option<CostBreakdown> {
+    let summary = predict(est, algorithm);
+    let priced = JoinAlgorithm::paper_variants().contains(&algorithm);
+    priced.then(|| CostModel::paper().estimate(algorithm, &summary, &ScaleFactors::identity()))
+}
+
+/// Pick the paper variant the cost model finds fastest (the first of
+/// [`JoinAlgorithm::paper_variants`] on a tie).
+pub fn advise(est: &QueryEstimates) -> JoinAlgorithm {
+    let total = |alg| predicted_cost(est, alg).map_or(f64::INFINITY, |c| c.total_s);
+    JoinAlgorithm::paper_variants()
+        .into_iter()
+        .map(|alg| (alg, total(alg)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("six paper variants")
+        .0
+}
+
+// ---------------------------------------------------------------------------
+// multiway (star-schema) pricing
+// ---------------------------------------------------------------------------
 
 /// Relative cost of an intra-HDFS byte vs a cross-cluster byte. The paper's
 /// testbed has 30 × 1 GbE inside the HDFS cluster vs a 20 Gbit switch
@@ -52,110 +100,8 @@ const INTRA_WEIGHT: f64 = 0.7;
 
 /// Per-byte penalty for data *leaving* the database: the paper exports
 /// tuples through C UDFs writing to sockets row by row — far more expensive
-/// than raw link bandwidth (this is why zigzag's `T''` reduction matters).
+/// than raw link bandwidth.
 const DB_EXPORT_WEIGHT: f64 = 3.0;
-
-/// Per-byte penalty for data *entering* the database through the
-/// `read_hdfs` table UDF (the steep σL slope of the DB-side joins).
-const DB_INGEST_WEIGHT: f64 = 2.0;
-
-/// Per-byte weight of local spill traffic. Spill runs live on the JEN
-/// workers' local disks — cheaper per byte than a cross-cluster transfer —
-/// but every evicted byte makes a round trip (written once, read back
-/// once), which [`spill_penalty`] charges explicitly.
-const SPILL_WEIGHT: f64 = 0.6;
-
-/// Extra byte-equivalents a JEN-build strategy pays under a memory budget.
-///
-/// With per-worker build volume `build_pw` over a budget `b`, the hybrid
-/// hash join keeps `b` bytes resident and spills the excess; the probe
-/// slices that hash to evicted partitions make the same disk round trip.
-/// `None` (or a build that fits) costs nothing, so budget-free advice is
-/// byte-identical to the pre-governor advisor.
-fn spill_penalty(budget: Option<u64>, build_pw: f64, probe_pw: f64, n: f64) -> f64 {
-    let Some(b) = budget else { return 0.0 };
-    let excess = build_pw - b as f64;
-    if excess <= 0.0 || build_pw <= 0.0 {
-        return 0.0;
-    }
-    let evicted_fraction = excess / build_pw;
-    SPILL_WEIGHT * n * 2.0 * (excess + probe_pw * evicted_fraction)
-}
-
-/// Estimated transfer cost (in cross-cluster byte-equivalents) of each
-/// strategy.
-pub fn estimated_costs(est: &QueryEstimates) -> Vec<(JoinAlgorithm, f64)> {
-    let t = est.t_prime_bytes as f64;
-    let l = est.l_prime_bytes as f64;
-    let bf = est.bloom_bytes as f64;
-    let n = est.num_jen_workers as f64;
-    let st = est.st.clamp(0.0, 1.0);
-    let sl = est.sl.clamp(0.0, 1.0);
-    // The hot worker's shuffle share bounds the pipelined phase: charge the
-    // intra-HDFS shuffle volume of the repartition family at the straggler
-    // rate. DB-side and broadcast never shuffle L', so they are unaffected
-    // — under extreme skew this is exactly what flips the advice away from
-    // repartition/zigzag.
-    let skew = est.shuffle_skew.clamp(1.0, n.max(1.0));
-    // Per-worker build/probe volumes of each JEN-side hash join, for the
-    // memory term. Broadcast replicates all of T' on every worker and
-    // probes with the local L share; the repartition family builds its
-    // (possibly Bloom-reduced) shuffled L' slice — the straggler's slice
-    // under skew — and probes with its share of T'. DB-side joins build
-    // nothing on JEN and carry no memory term.
-    let budget = est.mem_budget_per_worker;
-    let n1 = n.max(1.0);
-    let mem_broadcast = spill_penalty(budget, t, l / n1, n);
-    let mem_rep = spill_penalty(budget, l / n1 * skew, t / n1, n);
-    let mem_rep_bf = spill_penalty(budget, l * sl / n1 * skew, t / n1, n);
-    let mem_zigzag = spill_penalty(budget, l * sl / n1 * skew, t * st / n1, n);
-    vec![
-        (
-            JoinAlgorithm::Broadcast,
-            DB_EXPORT_WEIGHT * t * n + mem_broadcast,
-        ),
-        (JoinAlgorithm::DbSide { bloom: false }, DB_INGEST_WEIGHT * l),
-        (
-            JoinAlgorithm::DbSide { bloom: true },
-            DB_INGEST_WEIGHT * l * sl + bf * n,
-        ),
-        (
-            JoinAlgorithm::Repartition { bloom: false },
-            DB_EXPORT_WEIGHT * t + INTRA_WEIGHT * l * skew + mem_rep,
-        ),
-        (
-            JoinAlgorithm::Repartition { bloom: true },
-            DB_EXPORT_WEIGHT * t + INTRA_WEIGHT * l * sl * skew + bf * n + mem_rep_bf,
-        ),
-        (
-            JoinAlgorithm::Zigzag,
-            DB_EXPORT_WEIGHT * t * st + INTRA_WEIGHT * l * sl * skew + bf * n + bf * n + mem_zigzag,
-        ),
-    ]
-}
-
-/// The estimated cost of one specific strategy, or `None` for strategies
-/// the advisor does not model (semi-join and PERF baselines). The replan
-/// controller uses this to price "keep going" against the alternatives.
-pub fn cost_of(algorithm: JoinAlgorithm, est: &QueryEstimates) -> Option<f64> {
-    estimated_costs(est)
-        .into_iter()
-        .find(|(a, _)| *a == algorithm)
-        .map(|(_, c)| c)
-}
-
-/// Pick the algorithm with the lowest estimated transfer volume.
-pub fn advise(est: &QueryEstimates) -> JoinAlgorithm {
-    estimated_costs(est)
-        .into_iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are finite"))
-        .expect("cost list is non-empty")
-        .0
-}
-
-// ---------------------------------------------------------------------------
-// multiway (star-schema) pricing
-// ---------------------------------------------------------------------------
 
 /// Pre-execution estimates for one dimension of a star query.
 #[derive(Debug, Clone, Copy)]
@@ -345,37 +291,54 @@ pub fn advise_multiway(est: &StarEstimates) -> MultiwayChoice {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Paper-scale sizes: T = 97 GB, L(parquet) = 421 GB, 30+30 workers,
-    /// 16 MB Bloom filters.
+    /// Paper-scale sizes: T = 1.6 B rows, L = 15 B rows read as 170 GB of
+    /// projected Parquet, 30+30 workers, 16 MB Bloom filters. A `T'` row
+    /// is 8 wire bytes and an `L'` row 48, as the generated query's are;
+    /// the database reads `T'` through a 12-byte index entry per row.
     fn paper_estimates(sigma_t: f64, sigma_l: f64, st: f64, sl: f64) -> QueryEstimates {
-        // projected T' carries ~1/4 of T row width, L' similar.
-        let t_full: f64 = 25e9;
-        let l_full: f64 = 120e9;
+        let t_rows = (1.6e9 * sigma_t) as u64;
+        let l_rows = (15e9 * sigma_l) as u64;
         QueryEstimates {
-            t_prime_bytes: (t_full * sigma_t) as u64,
-            l_prime_bytes: (l_full * sigma_l) as u64,
+            t_prime_bytes: t_rows * 8,
+            l_prime_bytes: l_rows * 48,
+            t_prime_rows: t_rows,
+            l_prime_rows: l_rows,
+            l_rows: 15_000_000_000,
+            l_bytes_read: 170_000_000_000,
+            db_prep_bytes: t_rows * 12,
             st,
             sl,
             num_jen_workers: 30,
             bloom_bytes: 16 << 20,
             shuffle_skew: 1.0,
+            joined_shuffle_skew: 1.0,
             mem_budget_per_worker: None,
+            batch_rows: 4096,
         }
+    }
+
+    /// Every paper variant's estimated seconds, in `paper_variants` order.
+    fn priced(est: &QueryEstimates) -> Vec<(JoinAlgorithm, f64)> {
+        let price = |alg| predicted_cost(est, alg).expect("a paper variant").total_s;
+        JoinAlgorithm::paper_variants()
+            .into_iter()
+            .map(|alg| (alg, price(alg)))
+            .collect()
     }
 
     #[test]
     fn tiny_db_predicate_means_broadcast() {
-        // σT = 0.001 → T' ≈ 25 MB: the paper's broadcast regime (§5.1.2)
+        // σT = 0.001 → T' ≈ 13 MB: the paper's broadcast regime (§5.1.2)
         let est = paper_estimates(0.001, 0.2, 1.0, 1.0);
         assert_eq!(advise(&est), JoinAlgorithm::Broadcast);
     }
 
     #[test]
     fn tiny_hdfs_predicate_means_db_side() {
-        // σL = 0.001 → L' ≈ 120 MB: DB-side wins (§5.3), and with such a
+        // σL = 0.001 → L' ≈ 720 MB: DB-side wins (§5.3), and with such a
         // small L' the plain variant beats paying for the Bloom filter
         // (§5.2: "the overhead … can cancel out or even outweigh its benefit")
         let est = paper_estimates(0.1, 0.001, 1.0, 1.0);
@@ -384,17 +347,23 @@ mod tests {
 
     #[test]
     fn moderate_hdfs_predicate_with_selective_join_means_db_bloom() {
-        // σL = 0.01 with a selective join: DB-side with Bloom (§5.2)
-        let est = paper_estimates(0.1, 0.01, 0.5, 0.1);
+        // σL = 0.1 with a selective join: DB-side with Bloom (§5.2). (At
+        // σL = 0.01 the 100 s scan floor already hides the ingestion the
+        // filter saves, and the model keeps the plain DB-side join.)
+        let est = paper_estimates(0.1, 0.1, 0.5, 0.1);
         assert_eq!(advise(&est), JoinAlgorithm::DbSide { bloom: true });
     }
 
     #[test]
     fn common_case_means_zigzag() {
-        // no highly selective predicate anywhere, selective join keys:
-        // the robust choice is zigzag (§5.5)
+        // No highly selective predicate anywhere, selective join keys: the
+        // paper's robust choice is zigzag (§5.5). The model prefers db(BF)
+        // here, as it does in Fig. 13(b) at every σL — the recorded
+        // deviation `fig13b.hdfs_wins_from_0_1`: ingestion is priced at one
+        // flat rate, so once BF_DB has cut L' to a tenth, shipping it into
+        // the database undercuts zigzag's BF_H round trip.
         let est = paper_estimates(0.1, 0.4, 0.2, 0.1);
-        assert_eq!(advise(&est), JoinAlgorithm::Zigzag);
+        assert_eq!(advise(&est), JoinAlgorithm::DbSide { bloom: true });
     }
 
     #[test]
@@ -411,20 +380,23 @@ mod tests {
         // Modest T', unselective join keys: repartition is the uniform-key
         // choice. A single hot key (skew = worker count) inflates its
         // straggler-bound shuffle 30×, while broadcast — which never
-        // shuffles L' — is untouched and takes over.
-        let mut est = paper_estimates(0.01, 0.2, 1.0, 1.0);
+        // shuffles L' — is untouched and takes over. (At σT = 0.01 the 30
+        // copies of T' would cost more than ingesting L' into the database.)
+        let mut est = paper_estimates(0.005, 0.2, 1.0, 1.0);
         assert_eq!(advise(&est), JoinAlgorithm::Repartition { bloom: false });
         est.shuffle_skew = 30.0;
+        est.joined_shuffle_skew = 30.0;
         assert_eq!(advise(&est), JoinAlgorithm::Broadcast);
     }
 
     #[test]
     fn tight_memory_budget_flips_repartition_to_db_side() {
-        // Unselective join keys make plain repartition the uniform choice
-        // — but its per-worker build (L'/30 ≈ 1.6 GB here) dwarfs a 64 MB
-        // budget, so nearly all of it would spill and re-read. The DB-side
-        // join builds nothing on JEN, pays no memory term, and takes over.
-        let mut est = paper_estimates(0.1, 0.4, 1.0, 1.0);
+        // Unselective join keys and a small T' make plain repartition the
+        // uniform choice, a few seconds ahead of the DB-side join that
+        // ingests L' — but its per-worker build (L'/30 ≈ 480 MB here)
+        // dwarfs a 64 MB budget, so most of it would spill and re-read. The
+        // DB-side join builds nothing on JEN, pays no spill, and takes over.
+        let mut est = paper_estimates(0.01, 0.02, 1.0, 1.0);
         assert_eq!(advise(&est), JoinAlgorithm::Repartition { bloom: false });
         est.mem_budget_per_worker = Some(64 << 20);
         assert_eq!(advise(&est), JoinAlgorithm::DbSide { bloom: false });
@@ -435,18 +407,19 @@ mod tests {
         // A budget the build fits under must leave every estimate
         // byte-identical to the unbounded advisor.
         let mut est = paper_estimates(0.1, 0.4, 0.2, 0.1);
-        let unbounded = estimated_costs(&est);
+        let unbounded = priced(&est);
+        let advised = advise(&est);
         est.mem_budget_per_worker = Some(1 << 40);
-        assert_eq!(estimated_costs(&est), unbounded);
-        assert_eq!(advise(&est), JoinAlgorithm::Zigzag);
+        assert_eq!(priced(&est), unbounded);
+        assert_eq!(advise(&est), advised);
     }
 
     #[test]
     fn db_side_costs_never_carry_a_memory_term() {
         let mut est = paper_estimates(0.1, 0.4, 0.5, 0.5);
-        let unbounded = estimated_costs(&est);
+        let unbounded = priced(&est);
         est.mem_budget_per_worker = Some(1); // brutally tight
-        let tight = estimated_costs(&est);
+        let tight = priced(&est);
         for ((alg, before), (alg2, after)) in unbounded.iter().zip(tight.iter()) {
             assert_eq!(alg, alg2);
             match alg {
@@ -460,19 +433,68 @@ mod tests {
     fn skew_is_clamped_to_sane_range() {
         let mut est = paper_estimates(0.1, 0.4, 0.2, 0.1);
         est.shuffle_skew = 0.0; // nonsense below 1.0 treated as uniform
-        let base = estimated_costs(&est);
+        est.joined_shuffle_skew = 0.0;
+        let base = priced(&est);
         est.shuffle_skew = 1.0;
-        assert_eq!(estimated_costs(&est), base);
+        est.joined_shuffle_skew = 1.0;
+        assert_eq!(priced(&est), base);
     }
 
     #[test]
     fn cost_of_matches_the_cost_table() {
+        // every paper variant is priced on its own predicted volumes; the
+        // semi-join and PERF baselines are not priced at all
         let est = paper_estimates(0.1, 0.4, 0.2, 0.1);
-        for (alg, c) in estimated_costs(&est) {
-            assert_eq!(cost_of(alg, &est), Some(c));
+        let model = CostModel::paper();
+        for (alg, c) in priced(&est) {
+            let direct = model.estimate(alg, &predict(&est, alg), &ScaleFactors::identity());
+            assert_eq!(direct.total_s, c, "{alg:?}");
         }
-        assert_eq!(cost_of(JoinAlgorithm::SemiJoin, &est), None);
-        assert_eq!(cost_of(JoinAlgorithm::PerfJoin, &est), None);
+        assert!(predicted_cost(&est, JoinAlgorithm::SemiJoin).is_none());
+        assert!(predicted_cost(&est, JoinAlgorithm::PerfJoin).is_none());
+    }
+
+    /// The decision does not depend on the scale the estimates are given
+    /// at: every volume × 10⁴ (row counts, bytes, the Bloom filter) leaves
+    /// the pick unchanged, because every phase but the fixed overhead —
+    /// which every plan pays alike — is linear in the volumes.
+    #[test]
+    fn advice_is_invariant_to_the_volume_scale() {
+        let grid = [
+            (0.001, 0.2, 1.0, 1.0),
+            (0.01, 0.2, 0.2, 0.1),
+            (0.05, 0.001, 0.2, 0.1),
+            (0.1, 0.001, 1.0, 1.0),
+            (0.1, 0.01, 0.5, 0.1),
+            (0.1, 0.4, 0.2, 0.1),
+            (0.1, 0.4, 1.0, 1.0),
+            (0.2, 0.8, 0.05, 0.9),
+        ];
+        for (t, l, st, sl) in grid {
+            // the paper's volumes shrunk 10⁴×, then grown back
+            let paper = paper_estimates(t, l, st, sl);
+            let small = scaled(&paper, 1e-4);
+            let big = scaled(&small, 1e4);
+            assert_eq!(advise(&small), advise(&big), "({t}, {l}, {st}, {sl})");
+            assert_eq!(advise(&small), advise(&paper), "({t}, {l}, {st}, {sl})");
+        }
+    }
+
+    /// `est` with every volume multiplied by `f`.
+    pub(crate) fn scaled(est: &QueryEstimates, f: f64) -> QueryEstimates {
+        let x = |v: u64| (v as f64 * f).round() as u64;
+        QueryEstimates {
+            t_prime_bytes: x(est.t_prime_bytes),
+            l_prime_bytes: x(est.l_prime_bytes),
+            t_prime_rows: x(est.t_prime_rows),
+            l_prime_rows: x(est.l_prime_rows),
+            l_rows: x(est.l_rows),
+            l_bytes_read: x(est.l_bytes_read),
+            db_prep_bytes: x(est.db_prep_bytes),
+            bloom_bytes: x(est.bloom_bytes),
+            mem_budget_per_worker: est.mem_budget_per_worker.map(x),
+            ..*est
+        }
     }
 
     fn star(fact_bytes: u64, dim_bytes: u64, pass: f64, n: usize) -> StarEstimates {
@@ -567,7 +589,7 @@ mod tests {
     #[test]
     fn costs_cover_all_paper_variants() {
         let est = paper_estimates(0.1, 0.1, 0.5, 0.5);
-        let costs = estimated_costs(&est);
+        let costs = priced(&est);
         assert_eq!(costs.len(), 6);
         for (_, c) in costs {
             assert!(c.is_finite() && c >= 0.0);

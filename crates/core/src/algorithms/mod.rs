@@ -730,11 +730,7 @@ pub(crate) fn first_phase<'env>(
 ) -> Result<(LSource, TaskSet<'env, DbTask>, TaskSet<'env, JenTask>)> {
     let plan = sys.coordinator.plan_scan(&query.hdfs_table)?;
     let schema = plan.table.schema.project(&query.hdfs_proj)?;
-    let spec = ScanSpec {
-        pred: query.hdfs_pred.clone(),
-        proj: query.hdfs_proj.clone(),
-        bloom_key: bf_seq.map(|_| query.hdfs_key_base()),
-    };
+    let spec = query.hdfs_scan(bf_seq.is_some());
     let mut db_states = db_tasks(sys, driver)?;
     let mut jen_states = jen_tasks(sys, driver)?;
     // `bf_db` is `Some` when the plan registers its `BF_DB` step; the inner

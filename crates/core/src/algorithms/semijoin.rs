@@ -26,7 +26,6 @@ use hybrid_common::datum::DataType;
 use hybrid_common::error::Result;
 use hybrid_common::schema::Schema;
 use hybrid_jen::pipeline::scan_blocks_batched;
-use hybrid_jen::ScanSpec;
 use hybrid_net::StreamTag;
 use std::collections::HashSet;
 
@@ -47,11 +46,7 @@ pub(crate) fn execute(sys: &mut HybridSystem, query: &HybridQuery) -> Result<Bat
     let num_db = sys.config.db_workers;
 
     let plan = &sys.coordinator.plan_scan(&query.hdfs_table)?;
-    let scan_spec = &ScanSpec {
-        pred: query.hdfs_pred.clone(),
-        proj: query.hdfs_proj.clone(),
-        bloom_key: None,
-    };
+    let scan_spec = &query.hdfs_scan(false);
     let l_schema = &plan.table.schema.project(&query.hdfs_proj)?;
     let key_schema = &Schema::from_pairs(&[("joinKey", DataType::I64)]);
     // Hot-key routing for the post-keyset L' shuffle and the T' shipment.

@@ -5,15 +5,17 @@
 //! from catalog statistics; this module derives them the way a planner
 //! without statistics would — by sampling:
 //!
-//! * **database side**: every worker evaluates the local predicate over a
-//!   bounded prefix-stride sample of its partition (cheap; an index-only
-//!   plan in the real system);
+//! * **database side**: every worker evaluates the local predicate over
+//!   its partition, so `T'` and its key set are exact (an index-only plan
+//!   in the real system). A row sample of `T` cannot stand in: `S_L'` is
+//!   the share of `L'`'s distinct keys that `T'` holds, and a sample holds
+//!   only a fraction of `T'`'s keys;
 //! * **HDFS side**: a handful of blocks, spread across the file, are
 //!   decoded and filtered;
-//! * **join-key selectivities**: the overlap of the sampled surviving key
-//!   sets. Sampling shrinks both sets, so the overlap fractions are noisy —
-//!   good enough to steer the §5.5 decision rules, and clearly documented
-//!   as estimates.
+//! * **join-key selectivities**: the overlap of `T'`'s key set with the
+//!   sampled surviving `L'` keys. Sampling shrinks the `L'` set, so the
+//!   overlap fractions are noisy — good enough to steer the advisor, and
+//!   clearly documented as estimates.
 //!
 //! [`run_auto`] chains it all: estimate → advise → execute.
 
@@ -26,11 +28,8 @@ use crate::stats::RunOutput;
 use crate::system::HybridSystem;
 use hybrid_common::error::Result;
 use hybrid_common::hash::agreed_shuffle_partition;
-use hybrid_storage::decode;
+use hybrid_storage::{decode, BlockReader};
 use std::collections::HashSet;
-
-/// How many rows each DB worker samples from its partition.
-const DB_SAMPLE_ROWS: usize = 1_000;
 
 /// Sampling-derived statistics for one query.
 #[derive(Debug, Clone, Copy)]
@@ -46,12 +45,24 @@ pub struct SampledStats {
     /// Estimated average wire width of a projected `T'` row, bytes.
     pub t_row_bytes: f64,
     pub l_row_bytes: f64,
+    /// Estimated rows of `L` (sampled rows per block × block count).
+    pub l_rows: f64,
+    /// Estimated bytes the `L` scan reads: the sampled blocks' bytes for
+    /// the columns the scan needs, × block count.
+    pub l_bytes_read: f64,
+    /// Bytes the database reads to produce `T'` (its access path's, exact).
+    pub db_prep_bytes: f64,
+    /// Rows per fabric data message of the sampled system.
+    pub batch_rows: u64,
     /// Estimated shuffle imbalance of the surviving `L'` keys under the
     /// agreed hash: hottest JEN worker's share over the mean (1.0 =
     /// uniform). Derived from the same block sample as `sigma_l`, counting
     /// *rows* per target worker — duplicates matter, they are what a hot
     /// key is made of.
     pub shuffle_skew: f64,
+    /// The same imbalance over only the sampled `L'` rows whose key `T'`
+    /// holds: what the shuffle of a `BF_DB`-filtered `L'` routes.
+    pub joined_shuffle_skew: f64,
 }
 
 impl SampledStats {
@@ -68,12 +79,19 @@ impl SampledStats {
         QueryEstimates {
             t_prime_bytes: (self.t_prime_rows * self.t_row_bytes) as u64,
             l_prime_bytes: (self.l_prime_rows * self.l_row_bytes) as u64,
+            t_prime_rows: self.t_prime_rows as u64,
+            l_prime_rows: self.l_prime_rows as u64,
+            l_rows: self.l_rows as u64,
+            l_bytes_read: self.l_bytes_read as u64,
+            db_prep_bytes: self.db_prep_bytes as u64,
             st: self.st,
             sl: self.sl,
             num_jen_workers,
             bloom_bytes: query.bloom.wire_bytes() as u64,
             shuffle_skew: self.shuffle_skew,
+            joined_shuffle_skew: self.joined_shuffle_skew,
             mem_budget_per_worker,
+            batch_rows: self.batch_rows,
         }
     }
 }
@@ -90,8 +108,7 @@ pub fn sample_stats(
 ) -> Result<SampledStats> {
     query.validate()?;
 
-    // --- database side ---
-    let mut t_sampled = 0usize;
+    // --- database side: exact ---
     let mut t_passed = 0usize;
     let mut t_bytes = 0usize;
     let mut t_total_rows = 0usize;
@@ -99,16 +116,8 @@ pub fn sample_stats(
     for w in 0..sys.db.num_workers() {
         let partition = sys.db.worker(w).partition(&query.db_table)?;
         t_total_rows += partition.num_rows();
-        let n = partition.num_rows().min(DB_SAMPLE_ROWS);
-        if n == 0 {
-            continue;
-        }
-        let stride = (partition.num_rows() / n).max(1);
-        let rows: Vec<u32> = (0..n).map(|i| (i * stride) as u32).collect();
-        let sample = partition.take(&rows);
-        let mask = query.db_pred.eval_predicate(&sample)?;
-        let survivors = sample.filter(&mask)?.project(&query.db_proj)?;
-        t_sampled += n;
+        let mask = query.db_pred.eval_predicate(partition)?;
+        let survivors = partition.project(&query.db_proj)?.filter(&mask)?;
         t_passed += survivors.num_rows();
         t_bytes += survivors.serialized_bytes();
         let keys = survivors.column(query.db_key)?;
@@ -125,9 +134,12 @@ pub fn sample_stats(
     let mut l_sampled = 0usize;
     let mut l_passed = 0usize;
     let mut l_bytes = 0usize;
+    let mut l_read_bytes = 0usize;
+    let l_read = query.hdfs_scan(true).read_cols();
     let mut l_keys: HashSet<i64> = HashSet::new();
     let num_jen = sys.config.jen_workers.max(1);
     let mut worker_loads = vec![0u64; num_jen];
+    let mut joined_loads = vec![0u64; num_jen];
     for i in 0..picked {
         let idx = i * n_blocks / picked;
         let block = &blocks[idx];
@@ -136,6 +148,8 @@ pub fn sample_stats(
             .hdfs
             .read()
             .read_block_into(block.id, reader, &sys.metrics)?;
+        l_read_bytes +=
+            BlockReader::open(meta.format, &meta.schema, &bytes)?.bytes_read(&l_read)?;
         let decoded = decode(meta.format, &meta.schema, &bytes, None)?;
         let mask = query.hdfs_pred.eval_predicate(&decoded.batch)?;
         let survivors = decoded.batch.filter(&mask)?.project(&query.hdfs_proj)?;
@@ -146,7 +160,9 @@ pub fn sample_stats(
         for row in 0..survivors.num_rows() {
             let key = keys.key_at(row)?;
             l_keys.insert(key);
-            worker_loads[agreed_shuffle_partition(key, num_jen)] += 1;
+            let worker = agreed_shuffle_partition(key, num_jen);
+            worker_loads[worker] += 1;
+            joined_loads[worker] += u64::from(t_keys.contains(&key));
         }
     }
     // total L rows ≈ rows per sampled block × block count
@@ -156,15 +172,8 @@ pub fn sample_stats(
         (l_sampled as f64 / picked as f64) * n_blocks as f64
     };
 
-    let sigma_t = ratio(t_passed, t_sampled);
+    let sigma_t = ratio(t_passed, t_total_rows);
     let sigma_l = ratio(l_passed, l_sampled);
-    let load_total: u64 = worker_loads.iter().sum();
-    let shuffle_skew = if load_total == 0 {
-        1.0
-    } else {
-        let max = *worker_loads.iter().max().expect("num_jen >= 1") as f64;
-        max * num_jen as f64 / load_total as f64
-    };
     let inter = t_keys.intersection(&l_keys).count() as f64;
     Ok(SampledStats {
         sigma_t,
@@ -183,8 +192,22 @@ pub fn sample_stats(
         l_prime_rows: sigma_l * l_total_rows,
         t_row_bytes: avg(t_bytes, t_passed),
         l_row_bytes: avg(l_bytes, l_passed),
-        shuffle_skew,
+        l_rows: l_total_rows,
+        l_bytes_read: l_read_bytes as f64 / picked as f64 * n_blocks as f64,
+        db_prep_bytes: sys.db_access_bytes(&query.db_table, &query.db_pred, &query.db_proj)? as f64,
+        batch_rows: sys.config.batch_rows as u64,
+        shuffle_skew: max_over_mean(&worker_loads),
+        joined_shuffle_skew: max_over_mean(&joined_loads),
     })
+}
+
+/// The hottest worker's load over the mean load (1.0 when nothing loads).
+pub fn max_over_mean(loads: &[u64]) -> f64 {
+    let total: u64 = loads.iter().sum();
+    match loads.iter().max() {
+        Some(&max) if total > 0 => max as f64 * loads.len() as f64 / total as f64,
+        _ => 1.0,
+    }
 }
 
 /// Estimate a star query's inputs for the multiway advisor.

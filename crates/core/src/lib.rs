@@ -20,7 +20,7 @@
 //! the paper's workload (§2, §5). [`algorithms::run`] executes any strategy
 //! and returns the result **plus** a [`stats::JoinSummary`] with the
 //! tuple/byte movement counters that reproduce Table 1 and feed the cost
-//! model.
+//! model ([`costmodel`]), which also prices plans before and during a run.
 //!
 //! All strategies compute identical results; the integration tests verify
 //! every algorithm against [`reference::run_reference`], a single-node
@@ -30,6 +30,7 @@ pub mod adapt;
 pub mod advisor;
 pub mod algorithms;
 pub mod cache;
+pub mod costmodel;
 pub mod estimation;
 pub mod multiway;
 pub mod query;
@@ -40,7 +41,7 @@ pub mod system;
 
 pub use adapt::{run_adaptive, Observation, ReplanController, REPLAN_HYSTERESIS, REPLAN_NS_OFFSET};
 pub use advisor::{
-    advise, advise_multiway, best_cascade, best_hypercube, estimated_costs, CascadeStep,
+    advise, advise_multiway, best_cascade, best_hypercube, predicted_cost, CascadeStep,
     DimEstimates, MultiwayChoice, MultiwayPlan, QueryEstimates, StarEstimates,
 };
 pub use algorithms::{run, CancelToken, Driver, JoinAlgorithm, TaskSet};

@@ -23,6 +23,7 @@ use hybrid_bloom::BloomParams;
 use hybrid_common::error::{HybridError, Result};
 use hybrid_common::expr::Expr;
 use hybrid_common::ops::AggSpec;
+use hybrid_jen::ScanSpec;
 
 /// A two-table hybrid-warehouse query.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,6 +92,16 @@ impl HybridQuery {
     /// Base-schema column index of `L`'s join key.
     pub fn hdfs_key_base(&self) -> usize {
         self.hdfs_proj[self.hdfs_key]
+    }
+
+    /// The JEN scan of `L`: its predicate and projection, and the join key
+    /// when a `BF_DB` filter applies to it.
+    pub fn hdfs_scan(&self, bloom: bool) -> ScanSpec {
+        ScanSpec {
+            pred: self.hdfs_pred.clone(),
+            proj: self.hdfs_proj.clone(),
+            bloom_key: bloom.then(|| self.hdfs_key_base()),
+        }
     }
 
     /// Where canonical (`T' ++ L'`) column `c` sits in the physical layout

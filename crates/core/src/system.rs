@@ -3,6 +3,7 @@
 use hybrid_common::batch::Batch;
 use hybrid_common::cache::TableGenerations;
 use hybrid_common::error::{HybridError, Result};
+use hybrid_common::expr::Expr;
 use hybrid_common::ids::JenWorkerId;
 use hybrid_common::mempool::{BufferPool, QueryBudget};
 use hybrid_common::metrics::Metrics;
@@ -12,7 +13,7 @@ use hybrid_edw::DbCluster;
 use hybrid_hdfs::{Catalog, HdfsCluster, TableMeta};
 use hybrid_jen::{JenCoordinator, JenWorker};
 use hybrid_net::{Fabric, FaultSpec, Message, RetryPolicy};
-use hybrid_storage::{encode, FileFormat};
+use hybrid_storage::{encode, BlockReader, FileFormat};
 use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::Duration;
@@ -487,6 +488,31 @@ impl HybridSystem {
         });
         self.table_gens.bump(name);
         Ok(())
+    }
+
+    /// Bytes a scan of every block of HDFS table `table` reads for the
+    /// base columns `cols` (on the columnar format only their chunks; a
+    /// text block is read whole). Reads the blocks without metering them.
+    pub fn hdfs_bytes_read(&self, table: &str, cols: &[usize]) -> Result<u64> {
+        let meta = self.coordinator.lookup_table(table)?;
+        let hdfs = self.hdfs.read();
+        let reader = self.jen_workers[0].datanode();
+        let mut total = 0;
+        for block in hdfs.file_blocks(&meta.path)? {
+            let bytes = hdfs.read_block_into(block.id, reader, &Metrics::new())?;
+            total += BlockReader::open(meta.format, &meta.schema, &bytes)?.bytes_read(cols)?;
+        }
+        Ok(total as u64)
+    }
+
+    /// Bytes the database workers read to evaluate `pred` over `table` and
+    /// project `proj` — an index prefix or the whole partition, as
+    /// [`DbWorker::scan_filter_project`](hybrid_edw::DbWorker::scan_filter_project)
+    /// would — without reading them.
+    pub fn db_access_bytes(&self, table: &str, pred: &Expr, proj: &[usize]) -> Result<u64> {
+        (0..self.db.num_workers())
+            .map(|w| self.db.worker(w).access_bytes(table, pred, proj))
+            .sum()
     }
 
     /// Reset all counters (between experiment runs).

@@ -1,44 +1,28 @@
-//! Analytic cost model: measured data volumes → paper-scale seconds.
-//!
-//! The experiments in this repository run on a scaled-down workload; the
-//! paper's evaluation ran on a 31-node HDFS cluster joined to a 5-server
-//! DB2 DPF cluster over a 20 Gbit switch. This crate turns the **measured**
-//! per-run volumes (a [`hybrid_core::JoinSummary`]) into estimated
-//! wall-clock seconds on the paper's hardware, reproducing the *shape* of
-//! Figures 8–15: who wins, by what factor, and where the crossovers fall.
-//!
-//! ## Structure
-//!
-//! * [`scale::ScaleFactors`] rescales each volume to paper size — `T`-derived
-//!   volumes by the T-row ratio, `L`-derived by the L-row ratio, Bloom
-//!   filters by the key-universe ratio;
-//! * [`cluster::ClusterSpec`] holds the hardware rates. Two are anchored
-//!   directly to numbers the paper reports (§5.4): the HDFS I/O bandwidth
-//!   (1 TB text scan = 240 s warm) and the JEN per-record processing rate
-//!   (projected Parquet scan = 38 s I/O, with observed end-to-end floors
-//!   around 100 s). The per-tuple exchange rates are *fitted* so that the
-//!   published qualitative results hold — zigzag ≤ repartition(BF) ≤
-//!   repartition with the paper's ≈2× spread, DB-side deteriorating
-//!   steeply in σL, broadcast winning only below σT ≈ 0.001 — and each
-//!   constant is documented at its definition;
-//! * [`model::CostModel::estimate`] composes per-phase times the way the
-//!   real engines overlap them: scanning ∥ shuffling ∥ hash-building inside
-//!   JEN (Fig. 7), pipelined sends, and the zigzag join's deliberately
-//!   sequential `BF_H` round-trip;
-//! * [`replan::SunkWork`] + [`model::CostModel::estimate_remaining`] cost a
-//!   mid-query restart at paper scale: the same model over a residual
-//!   summary with the aborted attempt's sunk volumes zeroed.
+//! The paper-scale cost model, re-exported from [`hybrid_core::costmodel`],
+//! where it lives so that the advisor and the replan controller can price
+//! plans with it. This crate keeps the name the experiment harnesses and
+//! the benchmark depend on, and the model's unit tests: each test module
+//! below sits at the path its tests have always had (`model::tests::…`),
+//! and in test builds it hides the re-exported module of the same name,
+//! which nothing in this crate uses.
 
-pub mod cluster;
-pub mod model;
-pub mod overlap;
-pub mod replan;
-pub mod scale;
-pub mod star;
+pub use hybrid_core::costmodel::*;
 
-pub use cluster::ClusterSpec;
-pub use model::{CostBreakdown, CostModel, Phase};
-pub use overlap::OverlapProfile;
-pub use replan::{replan_break_even, SunkWork};
-pub use scale::ScaleFactors;
-pub use star::{cascade_shuffle_bytes, hypercube_shuffle_bytes, StarShuffleVolume};
+#[cfg(test)]
+#[allow(hidden_glob_reexports)]
+mod cluster;
+#[cfg(test)]
+#[allow(hidden_glob_reexports)]
+mod model;
+#[cfg(test)]
+#[allow(hidden_glob_reexports)]
+mod overlap;
+#[cfg(test)]
+#[allow(hidden_glob_reexports)]
+mod replan;
+#[cfg(test)]
+#[allow(hidden_glob_reexports)]
+mod scale;
+#[cfg(test)]
+#[allow(hidden_glob_reexports)]
+mod star;

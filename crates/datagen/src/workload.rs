@@ -8,9 +8,11 @@ use hybrid_common::error::Result;
 use hybrid_common::expr::Expr;
 use hybrid_common::ops::AggSpec;
 use hybrid_core::advisor::{DimEstimates, QueryEstimates, StarEstimates};
+use hybrid_core::estimation::max_over_mean;
 use hybrid_core::multiway::{DimQuery, StarQuery};
 use hybrid_core::{HybridQuery, HybridSystem};
 use hybrid_storage::FileFormat;
+use std::collections::HashSet;
 
 /// The generated tables, thresholds, and query for one experiment config.
 ///
@@ -162,24 +164,43 @@ impl Workload {
         sys.load_hdfs_table("L", format, self.l.schema().clone(), &self.l)
     }
 
-    /// Advisor inputs derived from the generator's ground truth.
-    pub fn estimates(&self, num_jen_workers: usize) -> QueryEstimates {
-        let t_prime_row = 12u64; // i32 key + date + overhead
-        let l_prime_row = 40u64; // key + date + url string
-        QueryEstimates {
-            t_prime_bytes: (self.spec.t_rows as f64 * self.spec.sigma_t * t_prime_row as f64)
-                as u64,
-            l_prime_bytes: (self.spec.l_rows as f64 * self.spec.sigma_l * l_prime_row as f64)
-                as u64,
+    /// Advisor inputs derived from the generator's ground truth: exact
+    /// `T'`/`L'` rows and wire bytes, the spec's join-key selectivities,
+    /// and the shuffle skew, for a query on `sys`, where this workload is
+    /// loaded — the bytes the `L` scan reads are those of the stored file.
+    /// Ground truth carries no memory budget: callers running under a
+    /// governor set the field from their system's pool.
+    pub fn estimates(&self, sys: &HybridSystem) -> Result<QueryEstimates> {
+        let q = self.query();
+        let n = sys.config.jen_workers;
+        let t_prime = self
+            .t
+            .project(&q.db_proj)?
+            .filter(&q.db_pred.eval_predicate(&self.t)?)?;
+        let l_mask = q.hdfs_pred.eval_predicate(&self.l)?;
+        let l_prime = self.l.project(&q.hdfs_proj)?.filter(&l_mask)?;
+        let t_keys = t_prime.column(q.db_key)?;
+        let joined = (0..t_prime.num_rows())
+            .map(|row| t_keys.key_at(row))
+            .collect::<Result<HashSet<i64>>>()?;
+        Ok(QueryEstimates {
+            t_prime_bytes: t_prime.serialized_bytes() as u64,
+            l_prime_bytes: l_prime.serialized_bytes() as u64,
+            t_prime_rows: t_prime.num_rows() as u64,
+            l_prime_rows: l_prime.num_rows() as u64,
+            l_rows: self.l.num_rows() as u64,
+            l_bytes_read: sys.hdfs_bytes_read("L", &q.hdfs_scan(true).read_cols())?,
+            db_prep_bytes: sys.db_access_bytes("T", &q.db_pred, &q.db_proj)?,
             st: self.spec.st,
             sl: self.spec.sl,
-            num_jen_workers,
+            num_jen_workers: n,
             bloom_bytes: self.bloom.wire_bytes() as u64,
-            shuffle_skew: self.shuffle_skew(num_jen_workers),
-            // ground truth carries no memory budget; callers running under
-            // a governor set the field from their system's pool
+            shuffle_skew: self.routed_skew(&l_mask, n, |_| true),
+            // what the shuffle of a BF_DB-filtered L' routes
+            joined_shuffle_skew: self.routed_skew(&l_mask, n, |key| joined.contains(&key)),
             mem_budget_per_worker: None,
-        }
+            batch_rows: sys.config.batch_rows as u64,
+        })
     }
 
     /// Multiway advisor inputs derived from the generator's ground truth.
@@ -210,32 +231,38 @@ impl Workload {
     /// partitions and report max-worker load over mean load. 1.0 = perfectly
     /// balanced; a single-key table yields `num_jen_workers`.
     pub fn shuffle_skew(&self, num_jen_workers: usize) -> f64 {
-        use hybrid_common::hash::agreed_shuffle_partition;
-        let n = num_jen_workers.max(1);
-        let q = self.query();
-        let mask = q
+        let mask = self
+            .query()
             .hdfs_pred
             .eval_predicate(&self.l)
             .expect("generated predicate evaluates over generated L");
+        self.routed_skew(&mask, num_jen_workers, |_| true)
+    }
+
+    /// Max-over-mean load of the rows of `L` that `l_mask` passes and
+    /// whose key `keep` accepts.
+    fn routed_skew(
+        &self,
+        l_mask: &[bool],
+        num_jen_workers: usize,
+        keep: impl Fn(i64) -> bool,
+    ) -> f64 {
+        use hybrid_common::hash::agreed_shuffle_partition;
+        let n = num_jen_workers.max(1);
         let keys = self
             .l
             .column(l_cols::JOIN_KEY)
             .expect("L has a join-key column")
             .as_i32()
-            .expect("joinKey is i32")
-            .to_vec();
+            .expect("joinKey is i32");
         let mut loads = vec![0u64; n];
-        for (key, pass) in keys.iter().zip(&mask) {
-            if *pass {
-                loads[agreed_shuffle_partition(i64::from(*key), n)] += 1;
+        for (&key, pass) in keys.iter().zip(l_mask) {
+            let key = i64::from(key);
+            if *pass && keep(key) {
+                loads[agreed_shuffle_partition(key, n)] += 1;
             }
         }
-        let total: u64 = loads.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let max = *loads.iter().max().expect("non-empty loads") as f64;
-        max / (total as f64 / n as f64)
+        max_over_mean(&loads)
     }
 }
 
@@ -327,17 +354,35 @@ mod tests {
             (worst - 4.0).abs() < 1e-9,
             "one key on 4 workers is 4.0: {worst}"
         );
-        assert!(single.estimates(4).shuffle_skew > 3.9);
+        assert!(estimates(&single).shuffle_skew > 3.9);
+    }
+
+    /// Ground-truth estimates of `w` loaded on a 2 + 4 system.
+    fn estimates(w: &Workload) -> QueryEstimates {
+        let mut sys = HybridSystem::new(SystemConfig::paper_shape(2, 4)).unwrap();
+        w.load_into(&mut sys, FileFormat::Columnar).unwrap();
+        w.estimates(&sys).unwrap()
     }
 
     #[test]
     fn estimates_scale_with_selectivities() {
         let mut spec = WorkloadSpec::tiny();
         spec.sigma_l = 0.1;
-        let low = spec.generate().unwrap().estimates(4);
+        let w = spec.generate().unwrap();
+        let low = estimates(&w);
         spec.sigma_l = 0.4;
-        let high = spec.generate().unwrap().estimates(4);
+        let high = estimates(&spec.generate().unwrap());
         assert!(high.l_prime_bytes > low.l_prime_bytes * 3);
         assert_eq!(low.num_jen_workers, 4);
+        // the ground truth is exact: what the query's scans produce
+        let q = w.query();
+        let l_prime =
+            w.l.filter(&q.hdfs_pred.eval_predicate(&w.l).unwrap())
+                .unwrap();
+        assert_eq!(low.l_prime_rows, l_prime.num_rows() as u64);
+        let l_prime = l_prime.project(&q.hdfs_proj).unwrap();
+        assert_eq!(low.l_prime_bytes, l_prime.serialized_bytes() as u64);
+        assert_eq!(low.l_rows, w.l.num_rows() as u64);
+        assert!(low.l_bytes_read > 0 && low.t_prime_rows > 0);
     }
 }

@@ -80,6 +80,13 @@ impl CoveringIndex {
     /// found by binary search. Returns `(rows_touched, batch)` where
     /// `rows_touched` is the prefix length (the index access cost).
     pub fn prefix_le(&self, bound: i64) -> Result<(usize, Batch)> {
+        let lo = self.prefix_len(bound)?;
+        let rows: Vec<u32> = (0..lo as u32).collect();
+        Ok((lo, self.data.take(&rows)))
+    }
+
+    /// Number of leading entries whose lead column is `<= bound`.
+    pub fn prefix_len(&self, bound: i64) -> Result<usize> {
         let lead = self.data.column(0)?;
         // binary search for the first entry > bound
         let mut lo = 0usize;
@@ -92,8 +99,7 @@ impl CoveringIndex {
                 hi = mid;
             }
         }
-        let rows: Vec<u32> = (0..lo as u32).collect();
-        Ok((lo, self.data.take(&rows)))
+        Ok(lo)
     }
 
     /// The whole index as a batch (full index scan).

@@ -119,13 +119,7 @@ impl DbWorker {
     /// Metering: `db.scan.rows` / `db.scan.bytes` for base-table access,
     /// `db.index.rows` / `db.index.bytes` for index-only access.
     pub fn scan_filter_project(&self, table: &str, pred: &Expr, proj: &[usize]) -> Result<Batch> {
-        let needed: Vec<usize> = pred
-            .referenced_columns()
-            .into_iter()
-            .chain(proj.iter().copied())
-            .collect();
-        let lead_candidates = leading_le_columns(pred);
-        if let Some(idx) = self.choose_index(table, &needed, &lead_candidates) {
+        if let Some(idx) = self.access_index(table, pred, proj) {
             let remapped = idx
                 .remap(pred)
                 .expect("covering index covers predicate columns");
@@ -154,6 +148,33 @@ impl DbWorker {
             .add("db.scan.bytes", partition.serialized_bytes() as u64);
         let mask = pred.eval_predicate(partition)?;
         partition.filter(&mask)?.project(proj)
+    }
+
+    /// The bytes [`DbWorker::scan_filter_project`] would read (and meter)
+    /// for the same arguments — an index prefix or the whole partition —
+    /// without reading them.
+    pub fn access_bytes(&self, table: &str, pred: &Expr, proj: &[usize]) -> Result<u64> {
+        let Some(idx) = self.access_index(table, pred, proj) else {
+            return Ok(self.partition(table)?.serialized_bytes() as u64);
+        };
+        let rows = match le_bound_for(pred, idx.base_cols()[0]) {
+            Some(bound) => idx.prefix_len(bound)?,
+            None => idx.len(),
+        };
+        // the prefix's row share of the index (exact for fixed-width columns)
+        let bytes = idx.full().serialized_bytes() as u64;
+        Ok(bytes * rows as u64 / idx.len().max(1) as u64)
+    }
+
+    /// The covering index a scan of `table` under `pred` projecting `proj`
+    /// uses, if any.
+    fn access_index(&self, table: &str, pred: &Expr, proj: &[usize]) -> Option<&CoveringIndex> {
+        let needed: Vec<usize> = pred
+            .referenced_columns()
+            .into_iter()
+            .chain(proj.iter().copied())
+            .collect();
+        self.choose_index(table, &needed, &leading_le_columns(pred))
     }
 
     /// The `cal_filter`/`get_filter` UDF pair: build this worker's local

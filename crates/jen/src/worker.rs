@@ -27,7 +27,7 @@ pub struct ScanSpec {
 impl ScanSpec {
     /// Columns a scan reads from storage: predicate inputs, outputs, and
     /// the Bloom-filter key.
-    pub(crate) fn read_cols(&self) -> Vec<usize> {
+    pub fn read_cols(&self) -> Vec<usize> {
         let mut cols: Vec<usize> = self
             .pred
             .referenced_columns()

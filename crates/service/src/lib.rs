@@ -58,7 +58,7 @@ use hybrid_common::metrics::{
     Histogram, HistogramSnapshot, HistogramVec, Metrics, MetricsSnapshot,
 };
 use hybrid_common::schema::Schema;
-use hybrid_core::advisor::{advise, estimated_costs};
+use hybrid_core::advisor::{advise, predicted_cost};
 use hybrid_core::stats::JoinSummary;
 use hybrid_core::{
     run, run_adaptive, run_star, sample_stats, HybridQuery, HybridSystem, JoinAlgorithm,
@@ -261,7 +261,8 @@ pub struct QueryResponse {
     pub algorithm: JoinAlgorithm,
     /// Served from the result cache — no execution happened.
     pub from_cache: bool,
-    /// The scheduler's cost estimate for `algorithm`, when one exists.
+    /// The cost model's estimate for `algorithm` in seconds, at the
+    /// sampled scale, when the model prices it (the scheduler's cost).
     pub estimated_cost: Option<f64>,
     /// Submission → admission (estimation + queueing).
     pub queue_wait: Duration,
@@ -536,9 +537,8 @@ impl QueryService {
             });
             let est = stats.to_estimates(&req.query, sys.config.jen_workers, mem_pw);
             drop(sys);
-            let costs = estimated_costs(&est);
             let algorithm = req.algorithm.unwrap_or_else(|| advise(&est));
-            let cost = costs.iter().find(|(a, _)| *a == algorithm).map(|&(_, c)| c);
+            let cost = predicted_cost(&est, algorithm).map(|c| c.total_s);
             (algorithm, cost, est)
         };
 

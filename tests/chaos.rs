@@ -633,14 +633,17 @@ fn conservation_law_holds_under_duplication_and_reordering() {
 }
 
 /// The mis-estimable workload for the replan chaos cells: join-key
-/// selectivity 0.05 makes a Bloom-consuming restart decisively cheaper,
+/// selectivity 0.1 makes a Bloom-consuming restart decisively cheaper,
 /// so corrupted estimates (`SL' = ST' = 1`) reliably trigger a replan at
-/// the observation point.
+/// the observation point. The cost model restarts it as
+/// repartition(BF), a JEN-side hash join that can spill: with fewer `L`
+/// rows, or fewer joining ones, it restarts as db(BF), which builds
+/// nothing on JEN.
 fn replan_workload() -> Workload {
     let mut spec = WorkloadSpec::tiny();
     spec.t_rows = 400;
-    spec.l_rows = 1600;
-    spec.sl = 0.05;
+    spec.l_rows = 8000;
+    spec.sl = 0.1;
     spec.generate().unwrap()
 }
 
@@ -673,31 +676,34 @@ fn kill_at_observation_point_and_mid_replan_restart_is_leak_free() {
     // Step ordinals count per task-set *per run_pair*: the prescan is one
     // pair (jen ordinal 0 = the observed scan), the restarted plan is a
     // second pair whose ordinals restart at 0 — so ordinal 0 kills land in
-    // the prescan and ordinals ≥ 1 can only fire mid-restart.
+    // the prescan and ordinals ≥ 1 can only fire mid-restart. The restart
+    // is repartition(BF): db ordinals 0 = BF_DB multicast, 1 = T' route;
+    // jen ordinals 0 = filter + shuffle, 1 = receive/build, 2 = probe,
+    // 3 = final aggregation.
     let cells: [(&str, FaultTarget, usize, usize); 6] = [
         ("jen killed at the observation scan", FaultTarget::Jen, 0, 0),
         ("db killed at the prescan scan", FaultTarget::Db, 0, 0),
         (
-            "jen killed mid-restart (BF_H merge)",
+            "jen killed mid-restart (final aggregation)",
             FaultTarget::Jen,
             1,
-            1,
+            3,
         ),
         (
             "jen killed mid-restart (recv/build)",
             FaultTarget::Jen,
             0,
-            2,
+            1,
         ),
-        ("db killed mid-restart", FaultTarget::Db, 1, 1),
-        // Ordinal 3 is the restarted plan's probe: every worker has
+        ("db killed mid-restart (T' route)", FaultTarget::Db, 1, 1),
+        // Ordinal 2 is the restarted plan's probe: every worker has
         // already built (and under the tiny budget, spilled) — the kill
         // unwinds workers still holding spill runs on disk.
         (
             "jen killed at the spill-probe boundary",
             FaultTarget::Jen,
             2,
-            3,
+            2,
         ),
     ];
     let mut spilled_any = false;

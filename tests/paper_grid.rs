@@ -3,6 +3,8 @@
 //! identically by the zigzag join and the single-node reference. This is
 //! the broad-coverage safety net behind the figure harnesses.
 
+use hybrid_bench::ExpSystem;
+use hybrid_core::advisor::advise;
 use hybrid_core::reference::run_reference;
 use hybrid_core::{run, HybridSystem, JoinAlgorithm, SystemConfig};
 use hybrid_datagen::WorkloadSpec;
@@ -98,5 +100,50 @@ fn bloom_variants_never_lose_rows_on_the_grid() {
         .unwrap();
         let bf = run(&mut sys, &query, JoinAlgorithm::Repartition { bloom: true }).unwrap();
         assert_eq!(plain.result, bf.result);
+    }
+}
+
+/// §5.5's advisor grid (σT, σL at ST' = 0.2, SL' = 0.1) on the paper's
+/// 30 + 30 topology at `tiny` scale: the plan `advise` picks from the
+/// workload's ground-truth estimates, priced by the cost model on its own
+/// *measured* run, is within 1.25× of the cheapest measured plan. The
+/// advisor predicts the volumes it prices, so this bounds the prediction
+/// error where it matters: in which plan comes first.
+#[test]
+fn advised_plan_is_within_25pct_of_the_measured_best_on_the_s5_5_grid() {
+    let grid = [
+        (0.001, 0.2),
+        (0.01, 0.2),
+        (0.05, 0.001),
+        (0.05, 0.01),
+        (0.05, 0.2),
+        (0.1, 0.001),
+        (0.1, 0.1),
+        (0.1, 0.4),
+    ];
+    for (sigma_t, sigma_l) in grid {
+        let spec = WorkloadSpec {
+            sigma_t,
+            sigma_l,
+            st: 0.2,
+            sl: 0.1,
+            ..WorkloadSpec::tiny()
+        };
+        let mut exp = ExpSystem::build(spec, FileFormat::Columnar).unwrap();
+        let advised = advise(&exp.workload.estimates(&exp.system).unwrap());
+        let mut best = f64::INFINITY;
+        let mut advised_s = f64::NAN;
+        for alg in JoinAlgorithm::paper_variants() {
+            let seconds = exp.run(alg).unwrap().cost.total_s;
+            best = best.min(seconds);
+            if alg == advised {
+                advised_s = seconds;
+            }
+        }
+        assert!(
+            advised_s <= best * 1.25,
+            "sigma_T={sigma_t} sigma_L={sigma_l}: advised {advised} at {advised_s:.0}s \
+             against the best {best:.0}s"
+        );
     }
 }
