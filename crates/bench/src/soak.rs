@@ -9,11 +9,12 @@
 //!
 //! The run is *self-judging*: a sampled subset of responses is checked
 //! against fresh-reference results computed from the raw tables, and after
-//! the drain the report runs the leak audit — zero admissions in flight,
-//! zero queued, zero bytes reserved in the memory governor, and the
-//! conservation law `submitted = completed + rejected + quota + timed_out
-//! + failed` both globally and per tenant. Any violation lands in
-//! [`SoakReport::leaks`] and fails the `svc_soak` binary (and the CI
+//! the drain the report runs the service's own leak audit
+//! ([`QueryService::quiesce`], then [`QueryService::audit`]) — zero
+//! admissions in flight, zero queued, zero bytes reserved in the memory
+//! governor, and the conservation law `submitted = completed + rejected +
+//! quota + timed_out + failed` both globally and per tenant. Any violation
+//! lands in [`SoakReport::leaks`] and fails the `svc_soak` binary (and the CI
 //! `front-door-soak` job) with a nonzero exit.
 
 use hybrid_common::error::Result;
@@ -475,70 +476,21 @@ pub fn run_soak(
         h.join().expect("soak client thread panicked");
     }
     let wall = start.elapsed();
-    // Drain settles asynchronously only for deliberately-disconnected
-    // queries whose executions may still be in flight; wait for the
-    // admission ledger to empty (bounded) before auditing.
-    let settle_deadline = Instant::now() + Duration::from_secs(60);
-    while svc.load() != (0, 0) && Instant::now() < settle_deadline {
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    // A deliberately-disconnected query may still sit unread in its
+    // handler's socket, outside the ledger: shutdown joins every handler,
+    // then the ledger settles and the audit runs.
     server.shutdown();
-
-    // ---- leak audit -----------------------------------------------------
-    let mut leaks = Vec::new();
-    let (in_flight, queued) = svc.load();
-    if in_flight != 0 || queued != 0 {
-        leaks.push(format!(
-            "global admission residue: {in_flight} in flight, {queued} queued"
-        ));
-    }
-    let reserved = svc.system().mem_pool.reserved();
-    if reserved != 0 {
-        leaks.push(format!(
-            "memory governor residue: {reserved} bytes reserved"
-        ));
-    }
+    svc.quiesce(Duration::from_secs(60));
+    let leaks = svc.audit();
     let m = svc.metrics();
-    let conserve = |name: &str, sub: u64, parts: [u64; 5]| -> Option<String> {
-        let total: u64 = parts.iter().sum();
-        (sub != total).then(|| {
-            format!(
-                "{name} accounting leak: submitted {sub} != completed {} + rejected {} + \
-                 quota {} + timed_out {} + failed {}",
-                parts[0], parts[1], parts[2], parts[3], parts[4]
-            )
-        })
-    };
-    if let Some(l) = conserve(
-        "global",
-        m.get("svc.submitted"),
-        [
-            m.get("svc.completed"),
-            m.get("svc.rejected"),
-            m.get("svc.quota_rejected"),
-            m.get("svc.timed_out"),
-            m.get("svc.failed"),
-        ],
-    ) {
-        leaks.push(l);
-    }
 
     let latency_hists: BTreeMap<String, HistogramSnapshot> = svc.tenant_latency_histograms();
     let queue_hists: BTreeMap<String, HistogramSnapshot> = svc.tenant_queue_histograms();
-    let empty = HistogramSnapshot::default();
     let mut per_tenant = Vec::new();
     for (i, cred) in tenants.iter().enumerate() {
         let name = &cred.name;
-        let id = svc.register_tenant(name, opts.quota); // idempotent lookup
-        let load = svc.tenant_load(id);
-        if load.in_flight != 0 || load.queued != 0 {
-            leaks.push(format!(
-                "tenant {name} residue: {} in flight, {} queued",
-                load.in_flight, load.queued
-            ));
-        }
         let get = |c: &str| m.get(&format!("svc.tenant.{name}.{c}"));
-        let outcome = TenantOutcome {
+        per_tenant.push(TenantOutcome {
             name: name.clone(),
             submitted: get("submitted"),
             completed: get("completed"),
@@ -548,29 +500,9 @@ pub fn run_soak(
             failed: get("failed"),
             incorrect: incorrect[i].load(Ordering::Relaxed),
             client_retries: client_retries[i].load(Ordering::Relaxed),
-            latency_us: latency_hists
-                .get(name)
-                .cloned()
-                .unwrap_or_else(|| empty.clone()),
-            queue_us: queue_hists
-                .get(name)
-                .cloned()
-                .unwrap_or_else(|| empty.clone()),
-        };
-        if let Some(l) = conserve(
-            &format!("tenant {name}"),
-            outcome.submitted,
-            [
-                outcome.completed,
-                outcome.rejected,
-                outcome.quota_rejected,
-                outcome.timed_out,
-                outcome.failed,
-            ],
-        ) {
-            leaks.push(l);
-        }
-        per_tenant.push(outcome);
+            latency_us: latency_hists[name].clone(),
+            queue_us: queue_hists[name].clone(),
+        });
     }
 
     Ok(SoakReport {

@@ -59,11 +59,6 @@ impl BloomFilter {
         }
     }
 
-    /// Convenience: a filter sized like the paper's for `expected_keys`.
-    pub fn paper_sized(expected_keys: usize) -> BloomFilter {
-        BloomFilter::new(BloomParams::paper_default(expected_keys))
-    }
-
     pub fn params(&self) -> BloomParams {
         self.params
     }

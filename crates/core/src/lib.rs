@@ -54,7 +54,6 @@ pub use reference::{batch_checksum, run_star_reference};
 pub use skew::{SaltCursors, SaltRouter};
 pub use stats::{JoinSummary, RunOutput};
 pub use system::{
-    batch_rows_from_env, mem_budget_from_env, parse_mem_budget, parse_replan_threshold,
-    replan_threshold_from_env, threads_from_env, HybridSystem, SystemConfig, ZigzagReaccess,
+    parse_mem_budget, parse_replan_threshold, HybridSystem, SystemConfig, ZigzagReaccess,
     DEFAULT_BATCH_ROWS,
 };

@@ -148,10 +148,6 @@ impl SaltRouter {
         self.hot.contains(&key)
     }
 
-    pub fn num_hot(&self) -> usize {
-        self.hot.len()
-    }
-
     /// The salt workers of hot key `key`: `fanout` distinct workers
     /// starting at the key's agreed home partition.
     fn salt_workers(&self, key: i64) -> impl Iterator<Item = usize> + '_ {

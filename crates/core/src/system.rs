@@ -117,23 +117,15 @@ pub struct SystemConfig {
 /// Default fabric batch size (rows per data message).
 pub const DEFAULT_BATCH_ROWS: usize = 4096;
 
-/// `HYBRID_THREADS` env override, or 1 (sequential) when unset/invalid.
-pub fn threads_from_env() -> usize {
-    std::env::var("HYBRID_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
+/// The value of environment variable `var` through `parse`; `None` when
+/// it is unset or does not parse, so the caller's default holds.
+fn env_override<T>(var: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+    std::env::var(var).ok().and_then(|v| parse(&v))
 }
 
-/// `HYBRID_BATCH_ROWS` env override, or [`DEFAULT_BATCH_ROWS`] when
-/// unset/invalid.
-pub fn batch_rows_from_env() -> usize {
-    std::env::var("HYBRID_BATCH_ROWS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_BATCH_ROWS)
+/// A positive count; zero or unparsable → `None`.
+fn parse_count(s: &str) -> Option<usize> {
+    s.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
 /// Parse a byte budget: an integer with an optional `k`/`m`/`g` suffix
@@ -161,14 +153,6 @@ pub fn parse_mem_budget(s: &str) -> Option<u64> {
         .and_then(|n| n.checked_shl(shift))
 }
 
-/// `HYBRID_MEM_BUDGET` env override, or `None` (unbounded) when
-/// unset/`unbounded`/invalid.
-pub fn mem_budget_from_env() -> Option<u64> {
-    std::env::var("HYBRID_MEM_BUDGET")
-        .ok()
-        .and_then(|v| parse_mem_budget(&v))
-}
-
 /// Parse a replan divergence threshold: a finite float `> 1.0` (an estimate
 /// off by less than its own value is never "divergent"). Empty, `"off"`, or
 /// unparsable → `None` (adaptation disabled).
@@ -180,16 +164,9 @@ pub fn parse_replan_threshold(s: &str) -> Option<f64> {
     s.parse::<f64>().ok().filter(|r| r.is_finite() && *r > 1.0)
 }
 
-/// `HYBRID_REPLAN_THRESHOLD` env override, or `None` (adaptation off) when
-/// unset/`off`/invalid.
-pub fn replan_threshold_from_env() -> Option<f64> {
-    std::env::var("HYBRID_REPLAN_THRESHOLD")
-        .ok()
-        .and_then(|v| parse_replan_threshold(&v))
-}
-
 impl SystemConfig {
-    /// A scaled-down version of the paper's 30+30 testbed.
+    /// A scaled-down version of the paper's 30+30 testbed. The fields
+    /// documented as defaulting from a `HYBRID_*` variable read it here.
     pub fn paper_shape(db_workers: usize, jen_workers: usize) -> SystemConfig {
         SystemConfig {
             db_workers,
@@ -199,14 +176,15 @@ impl SystemConfig {
             recv_timeout: Duration::from_secs(30),
             jen_memory_limit_rows: None,
             zigzag_reaccess: ZigzagReaccess::default(),
-            threads: threads_from_env(),
+            threads: env_override("HYBRID_THREADS", parse_count).unwrap_or(1),
             channel_capacity: Some(256),
             fault_spec: None,
             retry: RetryPolicy::default(),
             salt_buckets: None,
-            batch_rows: batch_rows_from_env(),
-            mem_budget_bytes: mem_budget_from_env(),
-            replan_threshold: replan_threshold_from_env(),
+            batch_rows: env_override("HYBRID_BATCH_ROWS", parse_count)
+                .unwrap_or(DEFAULT_BATCH_ROWS),
+            mem_budget_bytes: env_override("HYBRID_MEM_BUDGET", parse_mem_budget),
+            replan_threshold: env_override("HYBRID_REPLAN_THRESHOLD", parse_replan_threshold),
         }
     }
 

@@ -74,15 +74,6 @@ impl FaultTarget {
             FaultTarget::Jen => "jen",
         }
     }
-
-    /// The endpoint name of `worker` in this cluster, matching
-    /// [`Endpoint`]'s `Display` form.
-    pub fn endpoint_name(self, worker: usize) -> String {
-        match self {
-            FaultTarget::Db => format!("db-worker-{worker}"),
-            FaultTarget::Jen => format!("jen-worker-{worker}"),
-        }
-    }
 }
 
 /// Kill one worker immediately before it would execute its `step`-th step

@@ -598,16 +598,6 @@ impl<M: Wire> Fabric<M> {
             .ok_or_else(|| HybridError::Net(format!("unknown endpoint {endpoint}")))
     }
 
-    /// Whether a chaos fault plan is active on this fabric.
-    pub fn has_faults(&self) -> bool {
-        self.inner.faults.is_some()
-    }
-
-    /// The active chaos plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.inner.faults.as_ref()
-    }
-
     /// The retry policy [`Fabric::send`] recovers injected drops with.
     pub fn retry_policy(&self) -> &RetryPolicy {
         &self.inner.retry

@@ -8,13 +8,16 @@
 //! * [`codec`] — bounds-checked byte encodings for queries, schemas, and
 //!   results; corrupt payloads produce typed errors, never panics.
 //! * [`protocol`] — the typed message set: hello/ack authentication,
-//!   query submission with a deadline, streaming results
+//!   query submission with a deadline (the body is the service's
+//!   [`QueryBody`], re-exported here), streaming results
 //!   (`ResultHeader · ResultChunk* · ResultDone` with the per-query stats
 //!   snapshot in the trailer), and typed errors carrying the retryable
 //!   bit.
 //! * [`server`] / [`client`] — the accept-loop listener with per-tenant
 //!   authentication and watchdog-bounded reads, and the blocking client
-//!   used by `hwjoin --connect` and the `svc_soak` driver.
+//!   used by `hwjoin --connect` and the `svc_soak` driver. The handler
+//!   makes one [`hybrid_service::QueryService::submit_as`] call per query
+//!   frame, whatever its shape.
 
 pub mod client;
 pub mod codec;

@@ -7,11 +7,15 @@
 //!    [`Response::Error`] (`id == CONNECTION_ID`) and drops.
 //! 2. Client sends [`Request::Query`] frames, one at a time per
 //!    connection (pipelining is a protocol-version bump; concurrency
-//!    today means more connections). For each query the server answers
+//!    today means more connections). A frame's body is the service's own
+//!    [`QueryBody`] — a binary or a star query — which the server hands to
+//!    `QueryService::submit_as` as is. For each query the server answers
 //!    either the stream `ResultHeader · ResultChunk* · ResultDone` — rows
 //!    arrive in `batch_rows`-sized columnar chunks, the trailer carries
 //!    the latency breakdown plus the full per-query stats snapshot — or a
-//!    single typed [`Response::Error`] carrying the retryable bit.
+//!    single typed [`Response::Error`] carrying the retryable bit. The
+//!    header's `algorithm` names the plan that ran: an algorithm name for
+//!    a binary query, `cascade` or `hypercube` for a star.
 //!
 //! Every message round-trips through the byte codec in [`crate::codec`];
 //! the tests below pin that for each variant.
@@ -19,7 +23,7 @@
 use crate::codec::{self, CodecError, Decoder};
 use crate::wire::FrameType;
 use hybrid_common::schema::Schema;
-use hybrid_core::{HybridQuery, JoinAlgorithm, MultiwayPlanner, StarQuery};
+pub use hybrid_service::QueryBody;
 
 /// The `id` used by errors that concern the connection itself (failed
 /// hello, undecodable frame) rather than any particular query.
@@ -47,20 +51,6 @@ pub struct QueryFrame {
     /// answers).
     pub deadline_ms: u64,
     pub body: QueryBody,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryBody {
-    /// A two-table hybrid join; `algorithm: None` lets the advisor pick.
-    Binary {
-        query: HybridQuery,
-        algorithm: Option<JoinAlgorithm>,
-    },
-    /// A star-schema multiway join.
-    Star {
-        star: StarQuery,
-        planner: MultiwayPlanner,
-    },
 }
 
 /// Server → client messages.
@@ -334,6 +324,7 @@ mod tests {
     use hybrid_common::datum::DataType;
     use hybrid_common::expr::Expr;
     use hybrid_common::ops::AggSpec;
+    use hybrid_core::{HybridQuery, JoinAlgorithm};
 
     fn round_trip_request(r: Request) {
         let (ty, payload) = r.encode();

@@ -4,7 +4,9 @@
 //! Threading model: one accept-loop thread plus one handler thread per
 //! connection — the same closed-loop shape as [`QueryService::submit_as`]
 //! itself, which blocks the calling thread through queueing. A client
-//! that wants concurrency opens more connections.
+//! that wants concurrency opens more connections. Every query frame,
+//! binary or star, becomes one `submit_as` call: the frame's body is the
+//! service's own `QueryBody`.
 //!
 //! Robustness invariants (pinned by `tests/protocol_robustness.rs`):
 //!
@@ -18,14 +20,16 @@
 //! * The result stream is sent *after* [`QueryService::submit_as`] has
 //!   returned, so a client vanishing mid-stream cannot leak an admission
 //!   slot, a memory grant, or a session namespace — by that point the
-//!   service has already released all three on every path. The handler
-//!   just logs the dead socket and moves on.
+//!   service has already released all three on every path, and the
+//!   query's ledger entry has recorded its outcome. The handler just logs
+//!   the dead socket and moves on. A frame no handler has read yet is not
+//!   in the ledger, so a caller auditing the service after clients vanish
+//!   shuts the server down before `QueryService::quiesce`.
 
-use crate::protocol::{ErrorCode, QueryBody, Request, Response, CONNECTION_ID};
+use crate::protocol::{ErrorCode, Request, Response, CONNECTION_ID};
 use crate::wire::{self, WireError};
-use hybrid_common::batch::Batch;
 use hybrid_service::{
-    QueryRequest, QueryService, ServiceError, StarRequest, TenantId, TenantQuota,
+    QueryRequest, QueryResponse, QueryService, ServiceError, TenantId, TenantQuota,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -411,72 +415,13 @@ fn serve_query(
     tenant: TenantId,
     qf: crate::protocol::QueryFrame,
 ) -> bool {
-    let deadline = (qf.deadline_ms > 0).then(|| Duration::from_millis(qf.deadline_ms));
-    let id = qf.id;
-    match qf.body {
-        QueryBody::Binary { query, algorithm } => {
-            let req = QueryRequest {
-                query,
-                algorithm,
-                deadline,
-            };
-            match shared.svc.submit_as(tenant, &req) {
-                Ok(resp) => {
-                    let stats: Vec<(String, u64)> = resp
-                        .snapshot
-                        .as_ref()
-                        .map(|s| s.iter().map(|(k, v)| (k.clone(), *v)).collect())
-                        .unwrap_or_default();
-                    stream_result(
-                        stream,
-                        shared,
-                        id,
-                        &resp.result,
-                        resp.algorithm.name(),
-                        resp.from_cache,
-                        resp.queue_wait,
-                        resp.exec_time,
-                        resp.latency,
-                        stats,
-                    )
-                }
-                Err(e) => send_service_error(stream, id, &e),
-            }
-        }
-        QueryBody::Star { star, planner } => {
-            let req = StarRequest {
-                star,
-                planner,
-                deadline,
-            };
-            match shared.svc.submit_star_as(tenant, &req) {
-                Ok(resp) => {
-                    let stats: Vec<(String, u64)> = resp
-                        .snapshot
-                        .as_ref()
-                        .map(|s| s.iter().map(|(k, v)| (k.clone(), *v)).collect())
-                        .unwrap_or_default();
-                    let algorithm = if resp.ran_hypercube {
-                        "hypercube"
-                    } else {
-                        "cascade"
-                    };
-                    stream_result(
-                        stream,
-                        shared,
-                        id,
-                        &resp.result,
-                        algorithm,
-                        false,
-                        resp.queue_wait,
-                        resp.exec_time,
-                        resp.latency,
-                        stats,
-                    )
-                }
-                Err(e) => send_service_error(stream, id, &e),
-            }
-        }
+    let req = QueryRequest {
+        body: qf.body,
+        deadline: (qf.deadline_ms > 0).then(|| Duration::from_millis(qf.deadline_ms)),
+    };
+    match shared.svc.submit_as(tenant, &req) {
+        Ok(resp) => stream_result(stream, shared, qf.id, &resp),
+        Err(e) => send_service_error(stream, qf.id, &e),
     }
 }
 
@@ -490,27 +435,16 @@ fn send_service_error(stream: &TcpStream, id: u64, e: &ServiceError) -> bool {
     send_error(stream, id, code, e.retryable(), e.to_string())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn stream_result(
-    stream: &TcpStream,
-    shared: &Shared,
-    id: u64,
-    result: &Batch,
-    algorithm: &str,
-    from_cache: bool,
-    queue_wait: Duration,
-    exec_time: Duration,
-    latency: Duration,
-    stats: Vec<(String, u64)>,
-) -> bool {
+fn stream_result(stream: &TcpStream, shared: &Shared, id: u64, resp: &QueryResponse) -> bool {
+    let result = &resp.result;
     let batch_rows = shared.svc.system().config.batch_rows.max(1);
     if !send(
         stream,
         &Response::ResultHeader {
             id,
             schema: result.schema().clone(),
-            algorithm: algorithm.to_string(),
-            from_cache,
+            algorithm: resp.plan.name().to_string(),
+            from_cache: resp.from_cache,
         },
     ) {
         return false;
@@ -528,10 +462,15 @@ fn stream_result(
         &Response::ResultDone {
             id,
             rows: result.num_rows() as u64,
-            queue_us: queue_wait.as_micros() as u64,
-            exec_us: exec_time.as_micros() as u64,
-            latency_us: latency.as_micros() as u64,
-            stats,
+            queue_us: resp.queue_wait.as_micros() as u64,
+            exec_us: resp.exec_time.as_micros() as u64,
+            latency_us: resp.latency.as_micros() as u64,
+            stats: resp
+                .snapshot
+                .iter()
+                .flatten()
+                .map(|(k, v)| (k.clone(), *v))
+                .collect(),
         },
     )
 }

@@ -307,13 +307,10 @@ fn shutdown_severs_live_connections_and_joins_threads() {
     server.shutdown();
     drop(client);
 
-    // post-shutdown: no admissions in flight, nothing reserved
-    assert_eq!(svc.load(), (0, 0), "shutdown must leave no admissions");
-    assert_eq!(
-        svc.system().mem_pool.reserved(),
-        0,
-        "shutdown must leave no memory grants"
-    );
+    // post-shutdown: no admissions in flight, nothing reserved, every
+    // submission accounted for
+    assert!(svc.quiesce(Duration::from_secs(5)), "shutdown must settle");
+    assert_eq!(svc.audit(), Vec::<String>::new(), "shutdown left residue");
     // the port is actually released
     assert!(TcpStream::connect(&addr)
         .map(|mut s| {

@@ -5,6 +5,11 @@
 //! serving real traffic runs many concurrently, for many tenants. This
 //! crate adds the serving layer without touching the join algorithms:
 //!
+//! * **One submission path**: [`QueryService::submit_as`] serves both
+//!   query shapes of [`QueryBody`] — a two-table hybrid join or a star
+//!   join. Planning (cache lookup, sampling, advice) and running are the
+//!   only shape-specific steps; admission, accounting, latency and error
+//!   mapping are shared.
 //! * **Admission + scheduling** (the `sched` module): bounded in-flight
 //!   executions, bounded queue, typed [`ServiceError::Rejected`] /
 //!   [`ServiceError::TimedOut`] errors, FIFO or
@@ -31,13 +36,19 @@
 //!   dual-metered: the root registry's `net.cross.*` / `net.intra_hdfs.*`
 //!   totals stay the exact sum over all sessions.
 //! * **Cross-query caches**: serialized `BF_DB` Bloom filters (shared via
-//!   the system, `svc.cache.bloom.*`) and final results
+//!   the system, `svc.cache.bloom.*`) and final binary results
 //!   ([`ResultCache`], `svc.cache.result.*`), both LRU-bounded and
 //!   invalidated when a table is rewritten through the service's load
 //!   methods.
-//! * **Latency accounting**: lock-free [`Histogram`]s for total and
-//!   queue-wait latency — global and per tenant — with mergeable snapshots
-//!   and p50/p95/p99; each response carries its own execution time.
+//! * **The ledger**: each submission is one ledger entry, which counts
+//!   `svc.submitted` and exactly one terminal outcome (an entry dropped
+//!   without one counts as `failed`), globally and per tenant, plus the
+//!   lock-free latency [`Histogram`]s. So `submitted = completed +
+//!   rejected + quota_rejected + timed_out + failed` by construction.
+//! * **`quiesce` + `audit`**: [`QueryService::quiesce`] waits for no open
+//!   entry and empty admission; [`QueryService::audit`] then names every
+//!   admission, memory-pool or conservation violation. Soaks and suites
+//!   call these instead of their own copies of the checks.
 //!
 //! The service is *closed-loop*: [`QueryService::submit_as`] runs on the
 //! calling client thread (queueing blocks it), which is exactly the shape
@@ -50,23 +61,21 @@ mod tenant;
 
 pub use result_cache::{CachedResult, GenSnapshot, ResultCache};
 pub use sched::SchedulePolicy;
-pub use tenant::{TenantId, TenantLoad, TenantQuota};
+pub use tenant::{TenantId, TenantQuota};
 
 use hybrid_common::batch::Batch;
 use hybrid_common::error::HybridError;
-use hybrid_common::metrics::{
-    Histogram, HistogramSnapshot, HistogramVec, Metrics, MetricsSnapshot,
-};
+use hybrid_common::metrics::{CounterId, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 use hybrid_common::schema::Schema;
 use hybrid_core::advisor::{advise, predicted_cost};
-use hybrid_core::stats::JoinSummary;
+use hybrid_core::stats::{JoinSummary, RunOutput};
 use hybrid_core::{
     run, run_adaptive, run_star, sample_stats, HybridQuery, HybridSystem, JoinAlgorithm,
-    MultiwayPlanner, StarQuery,
+    MultiwayPlanner, QueryEstimates, StarQuery,
 };
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,7 +94,7 @@ pub enum ServiceError {
     /// The query queued longer than the configured timeout (or its own
     /// deadline, when the request carried a tighter one).
     TimedOut { waited: Duration },
-    /// Admitted, but execution failed.
+    /// Planning or execution failed.
     Exec(HybridError),
 }
 
@@ -194,13 +203,27 @@ impl Default for ServiceConfig {
     }
 }
 
+/// What a submission asks for. The wire protocol carries this same enum
+/// (`hybrid_server` re-exports it).
+#[derive(Debug, Clone, PartialEq)]
+pub enum QueryBody {
+    /// A two-table hybrid join; `algorithm: None` lets the advisor pick.
+    Binary {
+        query: HybridQuery,
+        algorithm: Option<JoinAlgorithm>,
+    },
+    /// A star-schema multiway join; `Auto` lets the multiway advisor price
+    /// cascade against hypercube from sampled estimates.
+    Star {
+        star: StarQuery,
+        planner: MultiwayPlanner,
+    },
+}
+
 /// One query submission.
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
-    pub query: HybridQuery,
-    /// Force a specific algorithm; `None` lets the advisor choose from the
-    /// sampled estimates.
-    pub algorithm: Option<JoinAlgorithm>,
+    pub body: QueryBody,
     /// Cap this query's queue wait below the service timeout. Carried on
     /// the wire so over-SLO queries can be cut loose early (and, later,
     /// answered approximately).
@@ -208,45 +231,45 @@ pub struct QueryRequest {
 }
 
 impl QueryRequest {
+    /// A binary query the advisor plans.
     pub fn new(query: HybridQuery) -> QueryRequest {
         QueryRequest {
-            query,
-            algorithm: None,
+            body: QueryBody::Binary {
+                query,
+                algorithm: None,
+            },
             deadline: None,
         }
     }
 
+    /// A binary query forced onto `algorithm`.
     pub fn with_algorithm(query: HybridQuery, algorithm: JoinAlgorithm) -> QueryRequest {
         QueryRequest {
-            query,
-            algorithm: Some(algorithm),
+            body: QueryBody::Binary {
+                query,
+                algorithm: Some(algorithm),
+            },
             deadline: None,
         }
     }
-
-    pub fn with_deadline(mut self, deadline: Duration) -> QueryRequest {
-        self.deadline = Some(deadline);
-        self
-    }
 }
 
-/// One star-query submission (multiway engine; see `hybrid_core::multiway`).
-#[derive(Debug, Clone)]
-pub struct StarRequest {
-    pub star: StarQuery,
-    /// Plan family; `Auto` lets the multiway advisor price cascade vs
-    /// hypercube from sampled estimates.
-    pub planner: MultiwayPlanner,
-    /// Same deadline hook as [`QueryRequest::deadline`].
-    pub deadline: Option<Duration>,
+/// The plan a query ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryPlan {
+    Binary(JoinAlgorithm),
+    /// The star plan family that executed: `Cascade` or `Hypercube`,
+    /// never `Auto`.
+    Star(MultiwayPlanner),
 }
 
-impl StarRequest {
-    pub fn new(star: StarQuery) -> StarRequest {
-        StarRequest {
-            star,
-            planner: MultiwayPlanner::Auto,
-            deadline: None,
+impl QueryPlan {
+    /// The algorithm name for a binary plan, `cascade` / `hypercube` for a
+    /// star — what the front door's result header carries.
+    pub fn name(self) -> &'static str {
+        match self {
+            QueryPlan::Binary(algorithm) => algorithm.name(),
+            QueryPlan::Star(planner) => planner.name(),
         }
     }
 }
@@ -256,12 +279,12 @@ impl StarRequest {
 pub struct QueryResponse {
     /// Final `(group, agg…)` batch, sorted by group key.
     pub result: Arc<Batch>,
-    /// The algorithm that produced the result (for a cache hit: the one
-    /// that produced the cached entry).
-    pub algorithm: JoinAlgorithm,
+    /// The plan that produced the result (for a cache hit: the one that
+    /// produced the cached entry).
+    pub plan: QueryPlan,
     /// Served from the result cache — no execution happened.
     pub from_cache: bool,
-    /// The cost model's estimate for `algorithm` in seconds, at the
+    /// The cost model's estimate for a binary plan in seconds, at the
     /// sampled scale, when the model prices it (the scheduler's cost).
     pub estimated_cost: Option<f64>,
     /// Submission → admission (estimation + queueing).
@@ -276,19 +299,126 @@ pub struct QueryResponse {
     pub snapshot: Option<MetricsSnapshot>,
 }
 
-/// A completed star query.
-#[derive(Debug, Clone)]
-pub struct StarResponse {
-    /// Final `(group, agg…)` batch, sorted by group key.
-    pub result: Arc<Batch>,
-    /// Whether the run executed the one-shot hypercube shuffle (false:
-    /// the cascade of binary joins).
-    pub ran_hypercube: bool,
-    pub queue_wait: Duration,
-    pub exec_time: Duration,
-    pub latency: Duration,
-    pub summary: Option<JoinSummary>,
-    pub snapshot: Option<MetricsSnapshot>,
+/// The terminal outcomes, in the order of [`Book::outcomes`].
+const OUTCOMES: [&str; 5] = [
+    "completed",
+    "rejected",
+    "quota_rejected",
+    "timed_out",
+    "failed",
+];
+
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    Completed,
+    Rejected,
+    QuotaRejected,
+    TimedOut,
+    Failed,
+}
+
+impl Outcome {
+    fn of(res: &Result<QueryResponse, ServiceError>) -> Outcome {
+        match res {
+            Ok(_) => Outcome::Completed,
+            Err(ServiceError::Rejected { .. }) => Outcome::Rejected,
+            Err(ServiceError::QuotaExceeded { .. }) => Outcome::QuotaRejected,
+            Err(ServiceError::TimedOut { .. }) => Outcome::TimedOut,
+            Err(ServiceError::Exec(_)) => Outcome::Failed,
+        }
+    }
+}
+
+/// One scope's ledger counters (interned once, so a submission never
+/// formats a name) and latency histograms: the global scope under `svc.*`,
+/// each tenant under `svc.tenant.<name>.*`.
+struct Book {
+    submitted: CounterId,
+    outcomes: [CounterId; 5],
+    latency_us: Histogram,
+    queue_us: Histogram,
+}
+
+impl Book {
+    fn new(metrics: &Metrics, prefix: &str) -> Book {
+        Book {
+            submitted: metrics.register(&format!("{prefix}.submitted")),
+            outcomes: OUTCOMES.map(|o| metrics.register(&format!("{prefix}.{o}"))),
+            latency_us: Histogram::new(),
+            queue_us: Histogram::new(),
+        }
+    }
+
+    /// The conservation law for this scope, or the violation naming it.
+    fn conservation(&self, metrics: &Metrics, scope: &str) -> Option<String> {
+        let submitted = metrics.get_id(self.submitted);
+        let parts = self.outcomes.map(|id| metrics.get_id(id));
+        (submitted != parts.iter().sum::<u64>()).then(|| {
+            format!(
+                "{scope} accounting leak: submitted {submitted} != completed {} + rejected {} + \
+                 quota {} + timed_out {} + failed {}",
+                parts[0], parts[1], parts[2], parts[3], parts[4]
+            )
+        })
+    }
+}
+
+/// A registered tenant's name and ledger book.
+struct TenantBook {
+    name: String,
+    book: Book,
+}
+
+/// One submission's line in the ledger. Opened by [`QueryService::open`]
+/// (which counts `submitted`); dropping it counts its one terminal outcome
+/// — `Failed` unless [`Entry::close`] recorded another — and, for a
+/// completion, its latencies.
+struct Entry<'a> {
+    svc: &'a QueryService,
+    tenant: Arc<TenantBook>,
+    start: Instant,
+    outcome: Outcome,
+    /// Total latency, and queue wait for executions (hits bypass
+    /// admission, and zeros would dilute the queue quantiles).
+    latency: Option<(Duration, Option<Duration>)>,
+}
+
+impl Entry<'_> {
+    fn close(mut self, res: &Result<QueryResponse, ServiceError>) {
+        self.outcome = Outcome::of(res);
+        if let Ok(r) = res {
+            self.latency = Some((r.latency, (!r.from_cache).then_some(r.queue_wait)));
+        }
+    }
+}
+
+impl Drop for Entry<'_> {
+    fn drop(&mut self) {
+        let m = &self.svc.metrics;
+        for book in [&self.svc.global, &self.tenant.book] {
+            m.incr_id(book.outcomes[self.outcome as usize]);
+            if let Some((latency, queue_wait)) = self.latency {
+                book.latency_us.record(latency.as_micros() as u64);
+                if let Some(q) = queue_wait {
+                    book.queue_us.record(q.as_micros() as u64);
+                }
+            }
+        }
+        self.svc.open_entries.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// What planning decided, borrowed from the request.
+enum Planned<'r> {
+    Binary {
+        query: &'r HybridQuery,
+        algorithm: JoinAlgorithm,
+        est: QueryEstimates,
+    },
+    Star {
+        star: &'r StarQuery,
+        planner: MultiwayPlanner,
+    },
 }
 
 /// The multi-tenant query service. All methods take `&self`; one instance
@@ -304,10 +434,11 @@ pub struct QueryService {
     /// Monotone submission sequence; its low 32 bits are the low half of
     /// each query's fabric namespace.
     next_seq: AtomicU64,
-    latency_us: Histogram,
-    queue_us: Histogram,
-    tenant_latency_us: HistogramVec,
-    tenant_queue_us: HistogramVec,
+    global: Book,
+    /// Indexed by tenant index, in step with the scheduler's tenant table.
+    tenants: RwLock<Vec<Arc<TenantBook>>>,
+    /// Ledger entries opened and not yet dropped.
+    open_entries: AtomicUsize,
 }
 
 impl QueryService {
@@ -317,17 +448,7 @@ impl QueryService {
     pub fn new(mut system: HybridSystem, cfg: ServiceConfig) -> QueryService {
         system.enable_bloom_cache(cfg.bloom_cache_capacity);
         let metrics = system.metrics.clone();
-        for name in [
-            "svc.submitted",
-            "svc.completed",
-            "svc.rejected",
-            "svc.quota_rejected",
-            "svc.timed_out",
-            "svc.failed",
-            "svc.retries",
-            "svc.replans",
-            "svc.replan_considered",
-        ] {
+        for name in ["svc.retries", "svc.replans", "svc.replan_considered"] {
             metrics.register(name);
         }
         let results = ResultCache::new(
@@ -344,16 +465,15 @@ impl QueryService {
         let svc = QueryService {
             root: RwLock::new(system),
             cfg,
+            global: Book::new(&metrics, "svc"),
+            tenants: RwLock::new(Vec::new()),
             metrics,
             results,
             sched,
             next_seq: AtomicU64::new(0),
-            latency_us: Histogram::new(),
-            queue_us: Histogram::new(),
-            tenant_latency_us: HistogramVec::new(),
-            tenant_queue_us: HistogramVec::new(),
+            open_entries: AtomicUsize::new(0),
         };
-        svc.register_tenant_counters("default");
+        svc.register_tenant("default", TenantQuota::unlimited());
         svc
     }
 
@@ -365,42 +485,16 @@ impl QueryService {
     /// The returned [`TenantId`] is what [`QueryService::submit_as`] and
     /// the framed-TCP front end authenticate connections onto.
     pub fn register_tenant(&self, name: &str, quota: TenantQuota) -> TenantId {
+        // the write lock keeps the book table in step with the scheduler's
+        let mut tenants = self.tenants.write();
         let id = self.sched.add_tenant(name, quota);
-        self.register_tenant_counters(name);
+        if id == tenants.len() {
+            tenants.push(Arc::new(TenantBook {
+                name: name.to_string(),
+                book: Book::new(&self.metrics, &format!("svc.tenant.{name}")),
+            }));
+        }
         TenantId(id)
-    }
-
-    fn register_tenant_counters(&self, name: &str) {
-        for c in [
-            "submitted",
-            "completed",
-            "rejected",
-            "quota_rejected",
-            "timed_out",
-            "failed",
-        ] {
-            self.metrics.register(&format!("svc.tenant.{name}.{c}"));
-        }
-    }
-
-    /// Registered tenant count (including `default`).
-    pub fn tenant_count(&self) -> usize {
-        self.sched.tenant_count()
-    }
-
-    pub fn tenant_name(&self, tenant: TenantId) -> String {
-        self.sched.tenant_name(tenant.0)
-    }
-
-    /// (in-flight, queued) for one tenant — the soak's per-tenant leak
-    /// check reads this after a drain (both must be 0).
-    pub fn tenant_load(&self, tenant: TenantId) -> TenantLoad {
-        let (in_flight, queued) = self.sched.tenant_load(tenant.0);
-        TenantLoad {
-            name: self.sched.tenant_name(tenant.0),
-            in_flight,
-            queued,
-        }
     }
 
     /// The root registry: `svc.*` counters, cache hit/miss/eviction
@@ -415,32 +509,93 @@ impl QueryService {
         self.root.read()
     }
 
-    /// (in-flight, queued) right now.
-    pub fn load(&self) -> (usize, usize) {
-        self.sched.load()
-    }
-
     /// Total submission→result latency distribution, in microseconds.
     /// Every completion — cache hits included — lands here.
     pub fn latency_histogram(&self) -> HistogramSnapshot {
-        self.latency_us.snapshot()
-    }
-
-    /// Submission→admission wait distribution of *executions*, in
-    /// microseconds. Cache hits bypass admission and are not recorded.
-    pub fn queue_histogram(&self) -> HistogramSnapshot {
-        self.queue_us.snapshot()
+        self.global.latency_us.snapshot()
     }
 
     /// Per-tenant submission→result latency snapshots, keyed by tenant
     /// name.
     pub fn tenant_latency_histograms(&self) -> BTreeMap<String, HistogramSnapshot> {
-        self.tenant_latency_us.snapshot_all()
+        self.tenant_histograms(|b| &b.latency_us)
     }
 
-    /// Per-tenant queue-wait snapshots, keyed by tenant name.
+    /// Per-tenant submission→admission wait snapshots of *executions*,
+    /// keyed by tenant name. Cache hits bypass admission and are not
+    /// recorded.
     pub fn tenant_queue_histograms(&self) -> BTreeMap<String, HistogramSnapshot> {
-        self.tenant_queue_us.snapshot_all()
+        self.tenant_histograms(|b| &b.queue_us)
+    }
+
+    fn tenant_histograms(
+        &self,
+        pick: impl Fn(&Book) -> &Histogram,
+    ) -> BTreeMap<String, HistogramSnapshot> {
+        self.tenants
+            .read()
+            .iter()
+            .map(|t| (t.name.clone(), pick(&t.book).snapshot()))
+            .collect()
+    }
+
+    /// Wait until no ledger entry is open and admission is empty, or until
+    /// `timeout` passes. Returns whether the service went quiet. A query
+    /// frame that no server handler has read yet is not in the ledger:
+    /// front-door callers shut the server down first.
+    pub fn quiesce(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if self.open_entries.load(Ordering::SeqCst) == 0 && self.sched.load() == (0, 0) {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Every violated service invariant, one line each (empty when
+    /// clean): open ledger entries, admission residue (global and per
+    /// tenant), memory-pool reservations or resident bytes, and the
+    /// conservation law `submitted = completed + rejected +
+    /// quota_rejected + timed_out + failed`, globally and per tenant.
+    /// Meaningful after [`QueryService::quiesce`].
+    pub fn audit(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        let open = self.open_entries.load(Ordering::SeqCst);
+        if open != 0 {
+            violations.push(format!("{open} ledger entries still open"));
+        }
+        let (in_flight, queued) = self.sched.load();
+        if in_flight != 0 || queued != 0 {
+            violations.push(format!(
+                "global admission residue: {in_flight} in flight, {queued} queued"
+            ));
+        }
+        let pool = self.root.read().mem_pool.clone();
+        let (reserved, used) = (pool.reserved(), pool.used());
+        if reserved != 0 || used != 0 {
+            violations.push(format!(
+                "memory governor residue: {reserved} bytes reserved, {used} bytes resident"
+            ));
+        }
+        violations.extend(self.global.conservation(&self.metrics, "global"));
+        for (i, t) in self.tenants.read().iter().enumerate() {
+            let (in_flight, queued) = self.sched.tenant_load(i);
+            if in_flight != 0 || queued != 0 {
+                violations.push(format!(
+                    "tenant {} residue: {in_flight} in flight, {queued} queued",
+                    t.name
+                ));
+            }
+            violations.extend(
+                t.book
+                    .conservation(&self.metrics, &format!("tenant {}", t.name)),
+            );
+        }
+        violations
     }
 
     /// The fabric namespace for attempt `seq` of a `tenant` query: the
@@ -452,23 +607,20 @@ impl QueryService {
         ((tenant.0 as u64 + 1) << 32) | ((seq & 0xFFFF_FFFF) + 1)
     }
 
-    fn tenant_incr(&self, tenant_name: &str, counter: &str) {
-        self.metrics
-            .add(&format!("svc.tenant.{tenant_name}.{counter}"), 1);
-    }
-
-    /// Count an admission failure in the global and per-tenant registries
-    /// and pass the error through.
-    fn count_admission_error(&self, tenant_name: &str, e: ServiceError) -> ServiceError {
-        let counter = match &e {
-            ServiceError::Rejected { .. } => "rejected",
-            ServiceError::QuotaExceeded { .. } => "quota_rejected",
-            ServiceError::TimedOut { .. } => "timed_out",
-            ServiceError::Exec(_) => "failed",
-        };
-        self.metrics.add(&format!("svc.{counter}"), 1);
-        self.tenant_incr(tenant_name, counter);
-        e
+    /// Open `tenant`'s ledger entry for one submission: counts
+    /// `svc.submitted` globally and for the tenant.
+    fn open(&self, tenant: TenantId) -> Entry<'_> {
+        let tenant = Arc::clone(&self.tenants.read()[tenant.0]);
+        self.open_entries.fetch_add(1, Ordering::SeqCst);
+        self.metrics.incr_id(self.global.submitted);
+        self.metrics.incr_id(tenant.book.submitted);
+        Entry {
+            svc: self,
+            tenant,
+            start: Instant::now(),
+            outcome: Outcome::Failed,
+            latency: None,
+        }
     }
 
     /// Submit a query as the `default` tenant and block until it
@@ -478,104 +630,143 @@ impl QueryService {
         self.submit_as(TenantId::DEFAULT, req)
     }
 
-    /// Submit a query as `tenant` and block until it completes (or is
-    /// rejected, over quota, or timed out).
+    /// Submit a query of either shape as `tenant` and block until it
+    /// completes (or is rejected, over quota, or timed out). Its ledger
+    /// entry records exactly one terminal outcome.
+    ///
+    /// Star results are not cached: the result cache is keyed on
+    /// two-table fingerprints. Stars are also admitted at the maximum
+    /// cost, because the multiway advisor samples and plans inside the
+    /// execution slot.
     pub fn submit_as(
         &self,
         tenant: TenantId,
         req: &QueryRequest,
     ) -> Result<QueryResponse, ServiceError> {
-        let start = Instant::now();
-        let tenant_name = self.sched.tenant_name(tenant.0);
-        self.metrics.add("svc.submitted", 1);
-        self.tenant_incr(&tenant_name, "submitted");
+        let entry = self.open(tenant);
+        let res = self.serve(tenant, entry.start, req);
+        entry.close(&res);
+        res
+    }
 
-        // Serve identical queries straight from the result cache — no
-        // admission slot is consumed, no execution happens.
-        if let Some(hit) = self.results.get(&req.query) {
-            let latency = start.elapsed();
-            // Hits land in the total-latency histogram only: the queue
-            // histogram describes executions, and recording zeros here
-            // would dilute its quantiles.
-            self.latency_us.record(latency.as_micros() as u64);
-            self.tenant_latency_us
-                .record(&tenant_name, latency.as_micros() as u64);
-            self.metrics.add("svc.completed", 1);
-            self.tenant_incr(&tenant_name, "completed");
-            return Ok(QueryResponse {
-                result: hit.result,
-                algorithm: hit.algorithm,
-                from_cache: true,
-                estimated_cost: None,
-                queue_wait: Duration::ZERO,
-                exec_time: Duration::ZERO,
-                latency,
-                summary: None,
-                snapshot: None,
-            });
-        }
-
-        // Estimate cost and pick the algorithm (advisor unless forced).
-        // The advisor sees the memory share this query will actually get —
-        // a bounded pool is split evenly across the in-flight bound, then
-        // across the JEN workers — so a tight budget steers the advice
-        // toward plans that spill less. A sampling failure here is a
-        // *failure* like any other pre-result error: counted, so the
-        // submitted = completed + rejected + quota + timed_out + failed
-        // conservation law holds on every path.
-        let (algorithm, estimated_cost, est) = {
-            let sys = self.root.read();
-            let stats = match sample_stats(&sys, &req.query, self.cfg.sample_blocks) {
-                Ok(s) => s,
-                Err(e) => {
-                    drop(sys);
-                    return Err(self.count_admission_error(&tenant_name, ServiceError::Exec(e)));
+    fn serve(
+        &self,
+        tenant: TenantId,
+        start: Instant,
+        req: &QueryRequest,
+    ) -> Result<QueryResponse, ServiceError> {
+        // Plan. A binary query is served straight from the result cache
+        // when it can be — no admission slot, no execution. Otherwise it
+        // is sampled, and the advisor picks its algorithm unless the
+        // request forces one; the advisor sees the memory share this query
+        // will actually get — a bounded pool is split evenly across the
+        // in-flight bound, then across the JEN workers — so a tight budget
+        // steers the advice toward plans that spill less.
+        let (planned, estimated_cost) = match &req.body {
+            QueryBody::Binary { query, algorithm } => {
+                if let Some(hit) = self.results.get(query) {
+                    return Ok(QueryResponse {
+                        result: hit.result,
+                        plan: QueryPlan::Binary(hit.algorithm),
+                        from_cache: true,
+                        estimated_cost: None,
+                        queue_wait: Duration::ZERO,
+                        exec_time: Duration::ZERO,
+                        latency: start.elapsed(),
+                        summary: None,
+                        snapshot: None,
+                    });
                 }
-            };
-            let mem_pw = sys.mem_pool.total().map(|t| {
-                t / self.cfg.max_in_flight.max(1) as u64 / sys.config.jen_workers.max(1) as u64
-            });
-            let est = stats.to_estimates(&req.query, sys.config.jen_workers, mem_pw);
-            drop(sys);
-            let algorithm = req.algorithm.unwrap_or_else(|| advise(&est));
-            let cost = predicted_cost(&est, algorithm).map(|c| c.total_s);
-            (algorithm, cost, est)
+                let sys = self.root.read();
+                let stats = sample_stats(&sys, query, self.cfg.sample_blocks)?;
+                let mem_pw = sys.mem_pool.total().map(|t| {
+                    t / self.cfg.max_in_flight.max(1) as u64 / sys.config.jen_workers.max(1) as u64
+                });
+                let est = stats.to_estimates(query, sys.config.jen_workers, mem_pw);
+                drop(sys);
+                let algorithm = algorithm.unwrap_or_else(|| advise(&est));
+                let cost = predicted_cost(&est, algorithm).map(|c| c.total_s);
+                (
+                    Planned::Binary {
+                        query,
+                        algorithm,
+                        est,
+                    },
+                    cost,
+                )
+            }
+            QueryBody::Star { star, planner } => (
+                Planned::Star {
+                    star,
+                    planner: *planner,
+                },
+                None,
+            ),
         };
 
         // Admission: blocks until a slot is granted, a queue bound trips,
         // or the timeout (or the request's tighter deadline) expires.
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let queue_wait = match self.sched.admit(
+        self.sched.admit(
             tenant.0,
             seq,
             estimated_cost.unwrap_or(f64::MAX),
             req.deadline,
-        ) {
-            Ok(_) => start.elapsed(),
-            Err(e) => return Err(self.count_admission_error(&tenant_name, e)),
-        };
+        )?;
+        let queue_wait = start.elapsed();
 
-        let generations = self.results.generations(&req.query);
+        // Run. A binary result is cached under the table generations
+        // snapshotted before execution reads any data.
         let exec_start = Instant::now();
-        let run_result = self.execute(tenant, seq, |session| {
-            // With `replan_threshold` set, the session run goes through
-            // the adaptive controller armed with the same sampled
-            // estimates the scheduler priced the query with — one
-            // admission slot and one memory grant cover the whole
-            // attempt, mid-query restart included. Threshold unset is
-            // plain `run`, byte for byte.
-            if session.config.replan_threshold.is_some() {
-                run_adaptive(session, &req.query, algorithm, &est)
-            } else {
-                run(session, &req.query, algorithm)
+        let (result, summary, snapshot, plan) = match planned {
+            Planned::Binary {
+                query,
+                algorithm,
+                est,
+            } => {
+                let generations = self.results.generations(query);
+                let out = self.execute(tenant, seq, |session| {
+                    // With `replan_threshold` set, the session run goes
+                    // through the adaptive controller armed with the same
+                    // sampled estimates the scheduler priced the query
+                    // with — one admission slot and one memory grant cover
+                    // the whole attempt, mid-query restart included.
+                    // Threshold unset is plain `run`, byte for byte.
+                    if session.config.replan_threshold.is_some() {
+                        run_adaptive(session, query, algorithm, &est)
+                    } else {
+                        run(session, query, algorithm)
+                    }
+                })?;
+                let result = Arc::new(out.result);
+                self.results.insert(
+                    query,
+                    CachedResult {
+                        result: Arc::clone(&result),
+                        algorithm,
+                    },
+                    generations,
+                );
+                (
+                    result,
+                    out.summary,
+                    out.snapshot,
+                    QueryPlan::Binary(algorithm),
+                )
             }
-        });
-        let out = match run_result {
-            Ok(out) => out,
-            Err(e) => {
-                self.metrics.add("svc.failed", 1);
-                self.tenant_incr(&tenant_name, "failed");
-                return Err(ServiceError::Exec(e));
+            Planned::Star { star, planner } => {
+                let out = self.execute(tenant, seq, |session| run_star(session, star, planner))?;
+                let ran = if out.snapshot.get("advisor.multiway.ran_hypercube") == Some(&1) {
+                    MultiwayPlanner::Hypercube
+                } else {
+                    MultiwayPlanner::Cascade
+                };
+                (
+                    Arc::new(out.result),
+                    out.summary,
+                    out.snapshot,
+                    QueryPlan::Star(ran),
+                )
             }
         };
 
@@ -593,100 +784,22 @@ impl QueryService {
                 "svc.est_error_x1000.shuffle",
             ),
         ] {
-            if let Some(&v) = out.snapshot.get(session_name) {
+            if let Some(&v) = snapshot.get(session_name) {
                 self.metrics.add(root_name, v);
             }
         }
 
-        let exec_time = exec_start.elapsed();
-        let latency = start.elapsed();
-        let result = Arc::new(out.result);
-        self.results.insert(
-            &req.query,
-            CachedResult {
-                result: Arc::clone(&result),
-                algorithm,
-            },
-            generations,
-        );
-        self.record_latencies(&tenant_name, latency, queue_wait);
-        self.metrics.add("svc.completed", 1);
-        self.tenant_incr(&tenant_name, "completed");
         Ok(QueryResponse {
             result,
-            algorithm,
+            plan,
             from_cache: false,
             estimated_cost,
             queue_wait,
-            exec_time,
-            latency,
-            summary: Some(out.summary),
-            snapshot: Some(out.snapshot),
+            exec_time: exec_start.elapsed(),
+            latency: start.elapsed(),
+            summary: Some(summary),
+            snapshot: Some(snapshot),
         })
-    }
-
-    /// Submit a star query as `tenant`. Star results are not cached (the
-    /// result cache is keyed on two-table fingerprints) and the scheduler
-    /// prices them at the maximum — the multiway advisor samples and
-    /// plans inside the execution slot.
-    pub fn submit_star_as(
-        &self,
-        tenant: TenantId,
-        req: &StarRequest,
-    ) -> Result<StarResponse, ServiceError> {
-        let start = Instant::now();
-        let tenant_name = self.sched.tenant_name(tenant.0);
-        self.metrics.add("svc.submitted", 1);
-        self.tenant_incr(&tenant_name, "submitted");
-
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let queue_wait = match self.sched.admit(tenant.0, seq, f64::MAX, req.deadline) {
-            Ok(_) => start.elapsed(),
-            Err(e) => return Err(self.count_admission_error(&tenant_name, e)),
-        };
-
-        let exec_start = Instant::now();
-        let run_result = self.execute(tenant, seq, |session| {
-            run_star(session, &req.star, req.planner)
-        });
-        let out = match run_result {
-            Ok(out) => out,
-            Err(e) => {
-                self.metrics.add("svc.failed", 1);
-                self.tenant_incr(&tenant_name, "failed");
-                return Err(ServiceError::Exec(e));
-            }
-        };
-
-        let exec_time = exec_start.elapsed();
-        let latency = start.elapsed();
-        let ran_hypercube = out
-            .snapshot
-            .get("advisor.multiway.ran_hypercube")
-            .copied()
-            .unwrap_or(0)
-            == 1;
-        self.record_latencies(&tenant_name, latency, queue_wait);
-        self.metrics.add("svc.completed", 1);
-        self.tenant_incr(&tenant_name, "completed");
-        Ok(StarResponse {
-            result: Arc::new(out.result),
-            ran_hypercube,
-            queue_wait,
-            exec_time,
-            latency,
-            summary: Some(out.summary),
-            snapshot: Some(out.snapshot),
-        })
-    }
-
-    fn record_latencies(&self, tenant_name: &str, latency: Duration, queue_wait: Duration) {
-        self.latency_us.record(latency.as_micros() as u64);
-        self.queue_us.record(queue_wait.as_micros() as u64);
-        self.tenant_latency_us
-            .record(tenant_name, latency.as_micros() as u64);
-        self.tenant_queue_us
-            .record(tenant_name, queue_wait.as_micros() as u64);
     }
 
     /// Run `body` on a private session while holding an already-granted
@@ -699,14 +812,9 @@ impl QueryService {
     /// share, this order guarantees its share is already free), and the
     /// slot is released. Callers therefore can never leak admission state,
     /// whichever error path they take.
-    fn execute<F>(
-        &self,
-        tenant: TenantId,
-        seq: u64,
-        mut body: F,
-    ) -> Result<hybrid_core::stats::RunOutput, HybridError>
+    fn execute<F>(&self, tenant: TenantId, seq: u64, mut body: F) -> Result<RunOutput, HybridError>
     where
-        F: FnMut(&mut HybridSystem) -> Result<hybrid_core::stats::RunOutput, HybridError>,
+        F: FnMut(&mut HybridSystem) -> Result<RunOutput, HybridError>,
     {
         // Memory admission: each admitted query reserves an even share of
         // the governor's pool for its whole lifetime (retries included).
@@ -808,5 +916,93 @@ impl QueryService {
             .load_hdfs_table(name, format, schema, data)?;
         self.results.invalidate_table(name);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hybrid_core::SystemConfig;
+    use hybrid_datagen::{Workload, WorkloadSpec};
+    use hybrid_storage::FileFormat;
+
+    fn star_service() -> (QueryService, Workload) {
+        let w = WorkloadSpec::tiny_star(2).generate().unwrap();
+        let mut cfg = SystemConfig::paper_shape(2, 3);
+        cfg.rows_per_block = 1000;
+        let mut sys = HybridSystem::new(cfg).unwrap();
+        w.load_into(&mut sys, FileFormat::Columnar).unwrap();
+        (QueryService::new(sys, ServiceConfig::default()), w)
+    }
+
+    fn star_request(star: StarQuery) -> QueryRequest {
+        let planner = MultiwayPlanner::Auto;
+        let body = QueryBody::Star { star, planner };
+        QueryRequest {
+            body,
+            deadline: None,
+        }
+    }
+
+    /// The ledger is closed and clean; with it, `submitted` equal to one
+    /// terminal counter means every submission landed on that one.
+    fn assert_clean(svc: &QueryService) {
+        assert!(svc.quiesce(Duration::from_secs(5)));
+        assert_eq!(svc.audit(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn an_entry_dropped_without_an_outcome_counts_once_as_failed() {
+        let sys = HybridSystem::new(SystemConfig::paper_shape(1, 1)).unwrap();
+        let svc = QueryService::new(sys, ServiceConfig::default());
+        let entry = svc.open(TenantId::DEFAULT);
+        assert!(!svc.quiesce(Duration::from_millis(20)), "entry is open");
+        drop(entry);
+        assert_clean(&svc);
+        let m = svc.metrics();
+        assert_eq!((m.get("svc.submitted"), m.get("svc.failed")), (1, 1));
+        assert_eq!(m.get("svc.tenant.default.failed"), 1);
+    }
+
+    #[test]
+    fn a_star_over_a_missing_dimension_fails_in_execution() {
+        let (svc, w) = star_service();
+        let mut star = w.star_query();
+        star.dims[1].table = "no_such_dimension".into();
+        let res = svc.submit(&star_request(star));
+        assert!(matches!(res, Err(ServiceError::Exec(_))), "{res:?}");
+        assert_clean(&svc);
+        let m = svc.metrics();
+        assert_eq!((m.get("svc.submitted"), m.get("svc.failed")), (1, 1));
+
+        // the same service still runs a well-formed star to completion
+        let resp = svc.submit(&star_request(w.star_query())).unwrap();
+        assert!(matches!(resp.plan, QueryPlan::Star(p) if p != MultiwayPlanner::Auto));
+        assert!(!resp.from_cache && resp.estimated_cost.is_none());
+        assert_clean(&svc);
+        assert_eq!((m.get("svc.submitted"), m.get("svc.completed")), (2, 1));
+    }
+
+    #[test]
+    fn a_star_over_a_full_tenant_quota_is_quota_exceeded() {
+        let (svc, w) = star_service();
+        let quota = TenantQuota {
+            weight: 1,
+            max_in_flight: 1,
+            max_queued: 0,
+        };
+        let tenant = svc.register_tenant("capped", quota);
+        // hold the tenant's only slot outside the ledger
+        svc.sched.admit(tenant.0, u64::MAX, 1.0, None).unwrap();
+        let res = svc.submit_as(tenant, &star_request(w.star_query()));
+        assert!(matches!(&res, Err(e @ ServiceError::QuotaExceeded { .. }) if e.retryable()));
+        svc.sched.release(tenant.0);
+        assert_clean(&svc);
+        let m = svc.metrics();
+        assert_eq!(
+            (m.get("svc.submitted"), m.get("svc.quota_rejected")),
+            (1, 1)
+        );
+        assert_eq!(m.get("svc.tenant.capped.quota_rejected"), 1);
     }
 }

@@ -184,16 +184,6 @@ impl Scheduler {
         st.tenants.len() - 1
     }
 
-    pub fn tenant_name(&self, tenant: usize) -> String {
-        let st = self.state.lock().expect("scheduler mutex poisoned");
-        st.tenants[tenant].name.clone()
-    }
-
-    pub fn tenant_count(&self) -> usize {
-        let st = self.state.lock().expect("scheduler mutex poisoned");
-        st.tenants.len()
-    }
-
     /// The best ticket of `tenant`'s queue under the intra-tenant policy.
     fn best_of(&self, queue: &[Ticket]) -> Option<Ticket> {
         match self.policy {

@@ -50,27 +50,12 @@ impl TenantQuota {
             max_queued: usize::MAX,
         }
     }
-
-    pub fn with_weight(mut self, weight: u64) -> TenantQuota {
-        self.weight = weight.max(1);
-        self
-    }
 }
 
 impl Default for TenantQuota {
     fn default() -> TenantQuota {
         TenantQuota::unlimited()
     }
-}
-
-/// Point-in-time per-tenant accounting, read back by soak drivers and
-/// tests (leak checks assert `in_flight == 0 && queued == 0` after a
-/// drain).
-#[derive(Debug, Clone)]
-pub struct TenantLoad {
-    pub name: String,
-    pub in_flight: usize,
-    pub queued: usize,
 }
 
 /// One query's deadline, as carried on the wire: caps the queue wait

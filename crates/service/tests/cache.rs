@@ -42,7 +42,7 @@ fn result_cache_hit_is_bit_identical_to_cold_run() {
     let hit = svc.submit(&req).unwrap();
     assert!(hit.from_cache);
     assert_eq!(*hit.result, expected, "hit must be bit-identical");
-    assert_eq!(hit.algorithm, cold.algorithm);
+    assert_eq!(hit.plan, cold.plan);
     assert!(hit.snapshot.is_none(), "nothing executed on a hit");
 
     let m = svc.metrics();
@@ -60,7 +60,8 @@ fn result_cache_eviction_is_lru_consistent() {
     };
     let (svc, w) = service(cfg);
     let th = w.thresholds.l_cor;
-    let q1 = QueryRequest::new(variant(&w, th));
+    let v1 = variant(&w, th);
+    let q1 = QueryRequest::new(v1.clone());
     let q2 = QueryRequest::new(variant(&w, th - 1));
     let q3 = QueryRequest::new(variant(&w, th - 2));
     let m = svc.metrics().clone();
@@ -79,7 +80,7 @@ fn result_cache_eviction_is_lru_consistent() {
     assert_eq!(m.get("svc.cache.result.evictions"), 2);
     assert!(!svc.submit(&q3).unwrap().from_cache);
     // every re-execution still returns the exact answer
-    assert_eq!(*r1.result, run_reference(&w.t, &w.l, &q1.query).unwrap());
+    assert_eq!(*r1.result, run_reference(&w.t, &w.l, &v1).unwrap());
 }
 
 #[test]
@@ -87,8 +88,9 @@ fn bloom_cache_shared_across_distinct_queries() {
     let (svc, w) = service(ServiceConfig::default());
     let alg = JoinAlgorithm::Repartition { bloom: true };
     let th = w.thresholds.l_cor;
-    let q1 = QueryRequest::with_algorithm(variant(&w, th), alg);
-    let q2 = QueryRequest::with_algorithm(variant(&w, th - 1), alg);
+    let (v1, v2) = (variant(&w, th), variant(&w, th - 1));
+    let q1 = QueryRequest::with_algorithm(v1.clone(), alg);
+    let q2 = QueryRequest::with_algorithm(v2.clone(), alg);
 
     let r1 = svc.submit(&q1).unwrap();
     let m = svc.metrics();
@@ -102,8 +104,8 @@ fn bloom_cache_shared_across_distinct_queries() {
         1,
         "same database side: BF_DB must be reused"
     );
-    assert_eq!(*r1.result, run_reference(&w.t, &w.l, &q1.query).unwrap());
-    assert_eq!(*r2.result, run_reference(&w.t, &w.l, &q2.query).unwrap());
+    assert_eq!(*r1.result, run_reference(&w.t, &w.l, &v1).unwrap());
+    assert_eq!(*r2.result, run_reference(&w.t, &w.l, &v2).unwrap());
 }
 
 #[test]

@@ -26,6 +26,8 @@
 //! release — the CI soak runs release). `HYBRID_CHAOS_SEED` pins one seed
 //! for replay.
 
+mod util;
+
 use hybrid_common::error::HybridError;
 use hybrid_common::hash::splitmix64;
 use hybrid_core::reference::run_reference;
@@ -38,9 +40,20 @@ use hybrid_service::{QueryRequest, QueryService, ServiceConfig};
 use hybrid_storage::FileFormat;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
+use util::{assert_root_is_session_sum, assert_service_clean, assert_spill_balanced};
 
 const DB_WORKERS: usize = 3;
 const JEN_WORKERS: usize = 4;
+
+/// The fabric-carried counters the root = Σ sessions checks cover: link
+/// volumes plus the chaos plane's own injected and deduped counts.
+const CHAOS_COUNTERS: [&str; 5] = [
+    "net.cross.bytes",
+    "net.cross.msgs",
+    "net.chaos.duplicated",
+    "net.chaos.reordered",
+    "net.chaos.deduped",
+];
 
 /// Any cell exceeding this is a hang, reported with its seed. Generous:
 /// a healthy cell runs in well under a second.
@@ -356,15 +369,8 @@ fn kill_at_spill_boundary_leaves_no_orphaned_partitions() {
             stream: None,
         }
     );
-    let created = sys.metrics.get("jen.spill.files_created");
-    let removed = sys.metrics.get("jen.spill.files_removed");
+    let created = assert_spill_balanced(&sys.metrics.snapshot(), "killed run");
     assert!(created > 0, "the kill must land after real spill activity");
-    assert_eq!(
-        created,
-        removed,
-        "killed run orphaned {} spill partition file(s)",
-        created - removed
-    );
 }
 
 /// Chaos over the batched fabric: the recovery guarantees are
@@ -450,15 +456,8 @@ fn batched_kill_at_spill_boundary_leaves_no_orphans() {
             stream: None,
         }
     );
-    let created = sys.metrics.get("jen.spill.files_created");
-    let removed = sys.metrics.get("jen.spill.files_removed");
+    let created = assert_spill_balanced(&sys.metrics.snapshot(), "batched killed run");
     assert!(created > 0, "the kill must land after real spill activity");
-    assert_eq!(
-        created,
-        removed,
-        "batched killed run orphaned {} spill partition file(s)",
-        created - removed
-    );
 }
 
 /// The no-orphans invariant on the governor's *dynamic* eviction path: a
@@ -495,15 +494,8 @@ fn kill_at_eviction_boundary_drains_ledger_and_files() {
         "the kill must land after dynamic evictions, or this cell tests \
          the same boundary as the row-limit variants"
     );
-    let created = sys.metrics.get("jen.spill.files_created");
-    let removed = sys.metrics.get("jen.spill.files_removed");
+    let created = assert_spill_balanced(&sys.metrics.snapshot(), "killed budgeted run");
     assert!(created > 0, "evictions must have written spill runs");
-    assert_eq!(
-        created,
-        removed,
-        "killed budgeted run orphaned {} spill file(s)",
-        created - removed
-    );
     assert_eq!(
         sys.mem_pool.used(),
         0,
@@ -558,11 +550,9 @@ fn service_retries_recover_injected_drops() {
         }
     }
     let m = service.metrics();
-    assert_eq!(
-        m.get("svc.completed") + m.get("svc.failed"),
-        submissions,
-        "every submission must resolve"
-    );
+    assert_eq!(m.get("svc.submitted"), submissions);
+    assert_eq!(m.get("svc.completed"), completed);
+    assert_service_clean(&service);
     assert!(completed > 0, "at least one submission must recover");
     assert!(
         m.get("svc.retries") > 0,
@@ -598,23 +588,7 @@ fn conservation_law_holds_under_duplication_and_reordering() {
         snapshots.push(resp.snapshot.expect("executions carry a snapshot"));
     }
     let root = service.metrics();
-    for name in [
-        "net.cross.bytes",
-        "net.cross.msgs",
-        "net.chaos.duplicated",
-        "net.chaos.reordered",
-        "net.chaos.deduped",
-    ] {
-        let session_sum: u64 = snapshots
-            .iter()
-            .map(|s| s.get(name).copied().unwrap_or(0))
-            .sum();
-        assert_eq!(
-            root.get(name),
-            session_sum,
-            "conservation law violated for {name}"
-        );
-    }
+    assert_root_is_session_sum(root, &snapshots, &CHAOS_COUNTERS, "service sessions");
     assert!(
         root.get("net.chaos.duplicated") > 0 && root.get("net.chaos.reordered") > 0,
         "the 50% mix must actually inject faults"
@@ -746,15 +720,7 @@ fn kill_at_observation_point_and_mid_replan_restart_is_leak_free() {
                 "{label}: the kill must land after the replan decision"
             );
         }
-        let created = sys.metrics.get("jen.spill.files_created");
-        let removed = sys.metrics.get("jen.spill.files_removed");
-        assert_eq!(
-            created,
-            removed,
-            "{label}: orphaned {} spill partition file(s)",
-            created - removed
-        );
-        spilled_any |= created > 0;
+        spilled_any |= assert_spill_balanced(&sys.metrics.snapshot(), label) > 0;
         assert_eq!(
             sys.mem_pool.used(),
             0,
@@ -799,10 +765,9 @@ fn dropped_observation_traffic_is_typed_or_recovered() {
             sys.metrics.get("advisor.replans") <= 1,
             "seed {seed}: replans must stay structurally ≤ 1"
         );
-        assert_eq!(
-            sys.metrics.get("jen.spill.files_created"),
-            sys.metrics.get("jen.spill.files_removed"),
-            "seed {seed}: dropped-traffic run orphaned spill files"
+        assert_spill_balanced(
+            &sys.metrics.snapshot(),
+            &format!("seed {seed}: dropped-traffic run"),
         );
     }
 }
@@ -847,23 +812,12 @@ fn conservation_law_survives_mid_query_replans() {
     }
 
     let root_metrics = &root.metrics;
-    for name in [
-        "net.cross.bytes",
-        "net.cross.msgs",
-        "net.chaos.duplicated",
-        "net.chaos.reordered",
-        "net.chaos.deduped",
-    ] {
-        let session_sum: u64 = snapshots
-            .iter()
-            .map(|s| s.get(name).copied().unwrap_or(0))
-            .sum();
-        assert_eq!(
-            root_metrics.get(name),
-            session_sum,
-            "conservation law violated for {name} across replanned sessions"
-        );
-    }
+    assert_root_is_session_sum(
+        root_metrics,
+        &snapshots,
+        &CHAOS_COUNTERS,
+        "replanned sessions",
+    );
     assert!(
         root_metrics.get("net.chaos.duplicated") > 0,
         "the 50% mix must actually inject faults into the replanned runs"
@@ -962,15 +916,7 @@ fn multiway_kills_are_typed_and_leak_free() {
                 "{label}: round {round} kill surfaced untyped"
             );
         }
-        let created = sys.metrics.get("jen.spill.files_created");
-        let removed = sys.metrics.get("jen.spill.files_removed");
-        assert_eq!(
-            created,
-            removed,
-            "{label}: orphaned {} spill run file(s)",
-            created - removed
-        );
-        spilled_any |= created > 0;
+        spilled_any |= assert_spill_balanced(&sys.metrics.snapshot(), label) > 0;
         assert_eq!(
             sys.mem_pool.used(),
             0,
@@ -1015,23 +961,12 @@ fn conservation_law_holds_across_multiway_sessions() {
         snapshots.push(out.snapshot);
     }
 
-    for name in [
-        "net.cross.bytes",
-        "net.cross.msgs",
-        "net.chaos.duplicated",
-        "net.chaos.reordered",
-        "net.chaos.deduped",
-    ] {
-        let session_sum: u64 = snapshots
-            .iter()
-            .map(|s| s.get(name).copied().unwrap_or(0))
-            .sum();
-        assert_eq!(
-            root.metrics.get(name),
-            session_sum,
-            "conservation law violated for {name} across multiway sessions"
-        );
-    }
+    assert_root_is_session_sum(
+        &root.metrics,
+        &snapshots,
+        &CHAOS_COUNTERS,
+        "multiway sessions",
+    );
     assert!(
         root.metrics.get("net.chaos.duplicated") > 0,
         "the 50% mix must actually inject faults into the star joins"

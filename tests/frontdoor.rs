@@ -15,12 +15,14 @@
 //!     conservation law still balances;
 //!   * `run_soak` at small scale comes back `clean()` under chaos.
 
+mod util;
+
 use hybrid_bench::soak::{run_soak, variant, SoakOptions};
 use hybrid_core::reference::{run_reference, run_star_reference};
-use hybrid_core::{HybridSystem, JoinAlgorithm, MultiwayPlanner, SystemConfig};
+use hybrid_core::{HybridQuery, HybridSystem, JoinAlgorithm, MultiwayPlanner, SystemConfig};
 use hybrid_datagen::{Workload, WorkloadSpec};
 use hybrid_server::{
-    wire, ClientError, ErrorCode, JoinClient, JoinServer, QueryBody, QueryFrame, Request,
+    wire, ClientError, ErrorCode, JoinClient, JoinServer, QueryBody, QueryFrame, Request, Response,
     ServerConfig, TenantCred,
 };
 use hybrid_service::{QueryService, ServiceConfig, TenantQuota};
@@ -28,7 +30,8 @@ use hybrid_storage::FileFormat;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use util::assert_service_clean;
 
 /// A tiny star workload behind a bound front door with the given service
 /// config and tenant set.
@@ -60,31 +63,28 @@ fn one_tenant() -> Vec<TenantCred> {
     )]
 }
 
-/// Wait (bounded) for in-flight work to settle, then assert the service
-/// holds no admissions and the governor holds no grants.
-fn assert_zero_residency(svc: &QueryService) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while svc.load() != (0, 0) && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
+/// A raw socket authenticated as `acme`, for callers that write frames
+/// without reading the replies.
+fn raw_acme_connection(addr: &str) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    let (ty, payload) = Request::Hello {
+        tenant: "acme".into(),
+        token: "tok-acme".into(),
     }
-    assert_eq!(svc.load(), (0, 0), "admission slots leaked");
-    assert_eq!(svc.system().mem_pool.reserved(), 0, "memory grants leaked");
+    .encode();
+    wire::write_frame(&mut s, ty, &payload).unwrap();
+    s
 }
 
-/// The accounting conservation law, globally: every submission ends in
-/// exactly one terminal counter.
-fn assert_conservation(svc: &QueryService) {
-    let m = svc.metrics();
-    let terminal = m.get("svc.completed")
-        + m.get("svc.rejected")
-        + m.get("svc.quota_rejected")
-        + m.get("svc.timed_out")
-        + m.get("svc.failed");
-    assert_eq!(
-        m.get("svc.submitted"),
-        terminal,
-        "accounting leak: a submission vanished without a terminal counter"
-    );
+/// Write one binary query frame on a raw connection.
+fn send_query(s: &mut TcpStream, query: HybridQuery, algorithm: Option<JoinAlgorithm>) {
+    let (ty, payload) = Request::Query(QueryFrame {
+        id: 0,
+        deadline_ms: 0,
+        body: QueryBody::Binary { query, algorithm },
+    })
+    .encode();
+    wire::write_frame(s, ty, &payload).unwrap();
 }
 
 #[test]
@@ -120,8 +120,7 @@ fn binary_and_star_results_bit_match_over_tcp() {
     }
 
     drop(client);
-    assert_zero_residency(&svc);
-    assert_conservation(&svc);
+    assert_service_clean(&svc);
 }
 
 #[test]
@@ -148,30 +147,18 @@ fn quota_exceeded_is_typed_retryable_and_recoverable_over_the_wire() {
     // burst of query frames down the socket without reading responses —
     // the handler works through them one at a time, keeping the tenant's
     // single slot occupied
-    let mut loader = TcpStream::connect(&addr).unwrap();
-    let (ty, payload) = Request::Hello {
-        tenant: "acme".into(),
-        token: "tok-acme".into(),
-    }
-    .encode();
-    wire::write_frame(&mut loader, ty, &payload).unwrap();
-    for i in 0..40u64 {
-        let (ty, payload) = Request::Query(QueryFrame {
-            id: i,
-            deadline_ms: 0,
-            body: QueryBody::Binary {
-                query: variant(&w, 2000 + i as i64),
-                algorithm: Some(JoinAlgorithm::Repartition { bloom: true }),
-            },
-        })
-        .encode();
-        wire::write_frame(&mut loader, ty, &payload).unwrap();
+    let mut loader = raw_acme_connection(&addr);
+    for i in 0..40 {
+        let bf = Some(JoinAlgorithm::Repartition { bloom: true });
+        send_query(&mut loader, variant(&w, 2000 + i), bf);
     }
 
-    // race distinct queries against the burst until one lands while the
-    // loader holds the slot
+    // race distinct queries against the burst. Either side can hold the
+    // single slot when the other admits, so a bounce lands on whichever
+    // connection came second: the client's own reply, or one of the
+    // loader's unread replies
     let mut client = JoinClient::connect(&addr, "acme", "tok-acme").unwrap();
-    let mut saw_quota = false;
+    let mut quota_errors = 0u64;
     for i in 0..200i64 {
         match client.query(
             variant(&w, 4000 + i),
@@ -185,19 +172,46 @@ fn quota_exceeded_is_typed_retryable_and_recoverable_over_the_wire() {
                 message,
             }) => {
                 assert!(retryable, "quota errors must be retryable: {message}");
-                saw_quota = true;
+                quota_errors += 1;
                 break;
             }
             Err(other) => panic!("unexpected error racing the quota: {other}"),
         }
     }
+    // each of the loader's 40 queries ends in a result trailer or a typed
+    // error frame
+    loader
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut answered = 0;
+    while answered < 40 {
+        let (ty, payload) = wire::read_frame(&mut loader).unwrap();
+        match Response::decode(ty, &payload).unwrap() {
+            Response::HelloAck { .. }
+            | Response::ResultHeader { .. }
+            | Response::ResultChunk { .. } => {}
+            Response::ResultDone { .. } => answered += 1,
+            Response::Error {
+                code: ErrorCode::QuotaExceeded,
+                retryable,
+                message,
+                ..
+            } => {
+                assert!(retryable, "quota errors must be retryable: {message}");
+                quota_errors += 1;
+                answered += 1;
+            }
+            other => panic!("unexpected loader frame {other:?}"),
+        }
+    }
     assert!(
-        saw_quota,
+        quota_errors > 0,
         "never observed a quota rejection while the tenant slot was held"
     );
-    assert!(
-        svc.metrics().get("svc.quota_rejected") > 0,
-        "quota rejection must be counted"
+    assert_eq!(
+        svc.metrics().get("svc.quota_rejected"),
+        quota_errors,
+        "every quota rejection must be counted, and reported to its client"
     );
 
     // the error is recoverable: retrying (with the loader drained) succeeds
@@ -213,8 +227,7 @@ fn quota_exceeded_is_typed_retryable_and_recoverable_over_the_wire() {
     assert_eq!(reply.rows, expected);
 
     drop(client);
-    assert_zero_residency(&svc);
-    assert_conservation(&svc);
+    assert_service_clean(&svc);
 }
 
 #[test]
@@ -294,8 +307,7 @@ fn trickle_tenant_is_not_starved_by_a_flooding_tenant() {
     );
 
     drop(trickle);
-    assert_zero_residency(&svc);
-    assert_conservation(&svc);
+    assert_service_clean(&svc);
 }
 
 #[test]
@@ -309,24 +321,9 @@ fn vanished_client_releases_slot_grant_and_namespace() {
 
     // several clients authenticate, fire an uncached query, and vanish
     // without reading a single response byte
-    for i in 0..5i64 {
-        let mut s = TcpStream::connect(&addr).unwrap();
-        let (ty, payload) = Request::Hello {
-            tenant: "acme".into(),
-            token: "tok-acme".into(),
-        }
-        .encode();
-        wire::write_frame(&mut s, ty, &payload).unwrap();
-        let (ty, payload) = Request::Query(QueryFrame {
-            id: i as u64,
-            deadline_ms: 0,
-            body: QueryBody::Binary {
-                query: variant(&w, 3000 + i),
-                algorithm: None,
-            },
-        })
-        .encode();
-        wire::write_frame(&mut s, ty, &payload).unwrap();
+    for i in 0..5 {
+        let mut s = raw_acme_connection(&addr);
+        send_query(&mut s, variant(&w, 3000 + i), None);
         drop(s); // gone before the stream starts
     }
 
@@ -338,13 +335,12 @@ fn vanished_client_releases_slot_grant_and_namespace() {
     drop(client);
 
     // and finishes (or abandons) the orphans, releasing every slot, grant,
-    // and session on its own. An orphan can still be sampling when the
-    // service's load already reads (0, 0), so wait for its handler
-    // instead: shutdown joins every handler, and a handler returns only
+    // and session on its own. An orphan's frame can still sit unread in
+    // its handler's socket, outside the service's ledger, so wait for the
+    // handlers first: shutdown joins every one, and a handler returns only
     // after the service has counted its query's terminal outcome.
     server.shutdown();
-    assert_zero_residency(&svc);
-    assert_conservation(&svc);
+    assert_service_clean(&svc);
 }
 
 #[test]

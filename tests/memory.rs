@@ -44,7 +44,9 @@ use hybrid_core::{run, HybridSystem, JoinAlgorithm};
 use hybrid_datagen::{Workload, WorkloadSpec};
 use hybrid_service::{QueryRequest, QueryService, ServiceConfig};
 use hybrid_storage::FileFormat;
-use util::{grid_from_env, loaded_system, test_config};
+use util::{
+    assert_service_clean, assert_spill_balanced, grid_from_env, loaded_system, test_config,
+};
 
 /// The algorithms whose JEN-side hash build runs under the governor.
 fn grace_algorithms() -> [JoinAlgorithm; 4] {
@@ -161,15 +163,6 @@ fn log_failed_cells(failures: &[(String, String)]) {
     }
 }
 
-/// Every spill file a run created must be removed by the time it returns.
-fn assert_spill_conservation(snapshot: &BTreeMap<String, u64>, ctx: &str) {
-    assert_eq!(
-        counter(snapshot, "jen.spill.files_created"),
-        counter(snapshot, "jen.spill.files_removed"),
-        "{ctx}: leaked spill run files"
-    );
-}
-
 /// One algorithm's full budget × batch × thread grid against its
 /// unbounded batch-1 sequential replay.
 fn assert_budget_invisible(alg: JoinAlgorithm) {
@@ -206,7 +199,7 @@ fn assert_budget_invisible(alg: JoinAlgorithm) {
                         ref_rows,
                         "{ctx}: row-level counters diverged"
                     );
-                    assert_spill_conservation(&out.snapshot, &ctx);
+                    assert_spill_balanced(&out.snapshot, &ctx);
                     if budget == Budget::Unbounded {
                         assert!(
                             !out.snapshot.keys().any(|k| k.starts_with("mem.")),
@@ -331,7 +324,7 @@ fn tiny_budget_recursively_repartitions() {
         counter(&out.snapshot, "mem.recursive_repartitions") > 0,
         "a few-KB budget must force recursion, or the tier tests nothing"
     );
-    assert_spill_conservation(&out.snapshot, "tiny budget");
+    assert_spill_balanced(&out.snapshot, "tiny budget");
 }
 
 /// Service-level scenario: 8 concurrent queries draw from one fixed pool.
@@ -415,8 +408,6 @@ fn eight_queries_share_one_pool_without_overcommit() {
         spilled_total > 0,
         "an L'/2 pool split 4 ways must make someone spill"
     );
-    // every reservation was handed back
-    let sys = svc.system();
-    assert_eq!(sys.mem_pool.reserved(), 0, "leaked reservation");
-    assert_eq!(sys.mem_pool.used(), 0, "leaked residency ledger");
+    // every reservation and every resident byte was handed back
+    assert_service_clean(&svc);
 }

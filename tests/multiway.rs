@@ -48,7 +48,7 @@ use hybrid_core::{
 };
 use hybrid_datagen::{KeySkew, Workload, WorkloadSpec};
 use hybrid_storage::FileFormat;
-use util::{grid_from_env, loaded_system, test_config};
+use util::{assert_spill_balanced, grid_from_env, loaded_system, test_config};
 
 fn thread_grid() -> Vec<usize> {
     grid_from_env("HYBRID_THREADS", &[1, 8])
@@ -186,11 +186,7 @@ fn assert_grid(
                             expected_checksum,
                             "{ctx}: checksum diverged"
                         );
-                        assert_eq!(
-                            counter(&out.snapshot, "jen.spill.files_created"),
-                            counter(&out.snapshot, "jen.spill.files_removed"),
-                            "{ctx}: leaked spill run files"
-                        );
+                        assert_spill_balanced(&out.snapshot, &ctx);
                         // the skewed FK axis must actually trip the
                         // detector, or the salt axis of this grid is
                         // silently testing nothing
@@ -419,11 +415,7 @@ fn spilling_star_joins_match_the_reference() {
                             counter(&out.snapshot, "jen.spill.activations") > 0,
                             "{ctx}: no joiner spilled"
                         );
-                        assert_eq!(
-                            counter(&out.snapshot, "jen.spill.files_created"),
-                            counter(&out.snapshot, "jen.spill.files_removed"),
-                            "{ctx}: leaked spill run files"
-                        );
+                        assert_spill_balanced(&out.snapshot, &ctx);
                     });
                 }
             }

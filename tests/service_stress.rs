@@ -7,10 +7,11 @@
 //! registry's fabric-carried counters must equal the exact sum of the
 //! per-query deltas.
 
+mod util;
+
 use hybrid_common::expr::Expr;
 use hybrid_core::{
-    run_adaptive, sample_stats, threads_from_env, HybridQuery, HybridSystem, JoinAlgorithm,
-    RunOutput, SystemConfig,
+    run_adaptive, sample_stats, HybridQuery, HybridSystem, JoinAlgorithm, RunOutput, SystemConfig,
 };
 use hybrid_datagen::tables::l_cols;
 use hybrid_datagen::{Workload, WorkloadSpec};
@@ -20,6 +21,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
+use util::{assert_root_is_session_sum, assert_service_clean};
 
 const CLIENTS: usize = 8;
 const QUERIES_PER_CLIENT: usize = 6;
@@ -40,7 +42,6 @@ const FABRIC_COUNTERS: [&str; 6] = [
 fn fresh_system(w: &Workload) -> HybridSystem {
     let mut cfg = SystemConfig::paper_shape(2, 3);
     cfg.rows_per_block = 1000;
-    cfg.threads = threads_from_env();
     let mut sys = HybridSystem::new(cfg).unwrap();
     w.load_into(&mut sys, FileFormat::Columnar).unwrap();
     sys
@@ -138,20 +139,13 @@ fn eight_clients_no_cross_query_bleed() {
     assert_eq!(m.get("svc.failed"), 0);
     assert_eq!(m.get("svc.rejected"), 0);
     assert_eq!(svc.latency_histogram().count(), total);
-    let (in_flight, queued) = svc.load();
-    assert_eq!((in_flight, queued), (0, 0), "all slots released");
+    assert_service_clean(&svc);
 
-    // Conservation: the root plane saw exactly the sum of all sessions.
-    let snapshots = snapshots.lock().unwrap();
-    for counter in FABRIC_COUNTERS {
-        let sum: u64 = snapshots
-            .iter()
-            .map(|s| s.get(counter).copied().unwrap_or(0))
-            .sum();
-        assert_eq!(
-            m.get(counter),
-            sum,
-            "{counter}: root total != sum of per-query deltas"
-        );
-    }
+    // The root plane saw exactly the sum of all sessions.
+    assert_root_is_session_sum(
+        m,
+        &snapshots.lock().unwrap(),
+        &FABRIC_COUNTERS,
+        "eight clients",
+    );
 }
